@@ -17,6 +17,8 @@ from typing import Any
 
 import os as _os
 
+from lexor_ray.transcripts import DEFAULT_BASE as _DEFAULT_BASE
+
 #: the sf whose transcripts the oracle SQL reads — the driver checks
 #: at sf0.01; LEXOR_RAY_ORACLE_SF lets tools/check_correctness.py run
 #: the same gate at any other scale locally.
@@ -24,13 +26,18 @@ import os as _os
 #: '0.10' would glob a directory the generator never writes (r5
 #: review)
 _ORACLE_SF = "{:g}".format(float(_os.environ.get("LEXOR_RAY_ORACLE_SF", "0.01")))
+#: generated data for that sf, under the generator's base dir
+#: (``LEXOR_RAY_DATA``, default /tmp/lexor_ray_data)
+_SF_BASE = _os.path.join(_DEFAULT_BASE, f"sf{_ORACLE_SF}")
 #: transcripts parquet path for that sf — DuckDB's oracle reads the
 #: same deterministic files the Ray queries read.
-_SF001_TRANSCRIPTS = f"/tmp/lexor_ray_data/sf{_ORACLE_SF}/transcripts/*.parquet"
+_SF001_TRANSCRIPTS = _os.path.join(_SF_BASE, "transcripts", "*.parquet")
 #: generation-time golden (conv_id, turn_idx, clean_text): the
 #: expected extraction output, composed independently of any parser
 #: when the synthetic transcripts are generated (transcripts.py).
-_SF001_GOLDEN = f"/tmp/lexor_ray_data/sf{_ORACLE_SF}/golden/*.parquet"
+_SF001_GOLDEN = _os.path.join(_SF_BASE, "golden", "*.parquet")
+#: cached media golden, read when it cannot be composed afresh
+_SF001_MEDIA_GOLDEN = _os.path.join(_SF_BASE, "media_golden", "golden.parquet")
 
 
 def entry() -> Any:
@@ -243,7 +250,7 @@ def oracle_sql() -> dict[str, str]:
 
         media_golden = media_golden_path(f"/root/testdata/sf{_ORACLE_SF}")
     except Exception:
-        media_golden = f"/tmp/lexor_ray_data/sf{_ORACLE_SF}/media_golden/golden.parquet"
+        media_golden = _SF001_MEDIA_GOLDEN
     t = _SF001_TRANSCRIPTS
     g = _SF001_GOLDEN
     from lexor_ray.ops.curation import (

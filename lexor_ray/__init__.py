@@ -4,8 +4,8 @@ A from-scratch reimplementation of the query and transform
 capabilities of the reference document-conversion engine
 (LaudateCorpus1/lexor, surveyed in ``SURVEY.md``), re-expressed as
 ``ray.data.Dataset`` pipelines: ``read_parquet → map_batches`` over
-zero-copy Arrow batches with actor pools hosting compiled dialect
-registries, plus the wide operators (dedup, similarity search, text
+zero-copy Arrow batches with compiled dialect registries cached per
+worker process, plus the wide operators (dedup, similarity search, text
 analysis, windowed aggregation) a large-scale training-data pipeline
 needs.
 

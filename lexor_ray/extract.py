@@ -31,10 +31,6 @@ from .core.parser import Parser
 from .dialects.registry import get_dialect
 from .fast_scan import scan_extract as _scan_extract
 
-#: rows without any of these chars cannot contain markup or entities —
-#: extraction is the identity with a single full-width span.
-MARKUP_CHARS = ("<", "&")
-
 
 class TextSpanWriter:
     """The flagship "text" writer style: walk the converted tree

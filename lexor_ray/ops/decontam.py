@@ -237,13 +237,6 @@ def _word_ngrams(texts: pd.Series, n: int) -> tuple[np.ndarray, np.ndarray]:
     return row_of[: W - n + 1][valid], g
 
 
-def benchmark_ngrams(sf_dir: str) -> list[str]:
-    """The n-gram small side: every DISTINCT word-13-gram of every
-    benchmark document (thin wrapper over :func:`_benchmark_state` —
-    ``decontaminate`` itself fetches both sides from the one scan)."""
-    return _benchmark_state(sf_dir)[1]
-
-
 def decontaminate_oracle_sql(source: str) -> str:
     """DuckDB replay of BOTH tiers: the verbatim-snippet LEFT JOIN and
     the distinct word-13-gram collision join (grams built with the

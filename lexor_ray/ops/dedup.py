@@ -821,8 +821,7 @@ def shingle_overlap_pairs(sf_dir: str, k: int = 3):
     SQL-checkable form (integer set sizes; Jaccard = inter/union).
     Scale shape: pair_id = doc_id // 2 is the shuffle key and the
     whole bucket is processed in ONE vectorized pandas pass
-    (`coarse_apply`; the per-pair-Python `coarse_grouped` shape this
-    replaced was the last user of that deprecated pattern)."""
+    (`coarse_apply`), with no per-pair Python call."""
     ds = tbl(sf_dir, "documents", columns=["doc_id", "text"])
 
     def add_pair(batch: pa.Table) -> pa.Table:

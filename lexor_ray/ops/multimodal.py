@@ -236,11 +236,18 @@ def decode_image(payload: bytes, media_type: str, w: int, h: int) -> np.ndarray:
     """Single media-type → pixel-array dispatch shared by every stage
     (decode features / resize / fused pipeline — previously three
     copy-pasted dispatch sites): real decode for BMP/PNG, the
-    documented fake-payload reshape otherwise."""
+    documented fake-payload reshape otherwise. A fake payload must
+    hold exactly ``w * h`` bytes, one per pixel; any other length
+    raises ``ValueError``."""
     if media_type == "image/bmp":
         return decode_bmp(payload)
     if media_type == "image/png":
         return decode_png(payload)
+    if len(payload) != w * h:
+        raise ValueError(
+            f"{media_type} payload is {len(payload)} bytes, but the size "
+            f"contract needs width * height = {w} * {h} = {w * h} bytes"
+        )
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
 
 

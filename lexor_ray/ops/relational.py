@@ -518,8 +518,8 @@ def top_events_per_user(
     events per user — coarse hash-bucket shuffle + ONE vectorized
     pandas pass per bucket (sort + groupby cumcount; no per-user
     Python call at all — ``coarse_apply``; BENCH/BASELINE.md measured
-    per-group dispatch binding both map_groups AND per-fine-group
-    coarse_grouped at high user cardinality).
+    per-group dispatch binding both map_groups AND a per-fine-group
+    Python call inside coarse buckets at high user cardinality).
 
     Heavy-key guard (r3 verdict item 3): flagged users compute a
     per-time-slice local top-k first (top-k is trivially mergeable: a
@@ -736,7 +736,7 @@ def events_sessionize(
     where the user changes or the gap exceeds ``gap_s``, cumsum →
     session ids, single C-level groupby for the roll-up. No per-user
     Python call (measured: per-group dispatch dominates at high user
-    cardinality even under coarse_grouped). Returns one row per
+    cardinality even inside coarse buckets). Returns one row per
     session.
 
     Heavy-key guard (r3 verdict item 3): a cheap distributed pre-count

@@ -32,13 +32,6 @@ def tbl(sf_dir: str, name: str, columns=None):
     )
 
 
-def round_col(table: pa.Table, name: str, ndigits: int) -> pa.Table:
-    import pyarrow.compute as pc
-
-    i = table.schema.get_field_index(name)
-    return table.set_column(i, name, pc.round(table.column(name), ndigits=ndigits))
-
-
 #: per-worker-process instance cache for stateful batch callables.
 #: Stateless tasks + this cache give actor-style state amortization
 #: (compiled regexes, hash params, broadcast handles) WITHOUT an actor
@@ -82,47 +75,6 @@ def cached_for_ref(slot: str, ref, factory):
     if len(lru) > _REF_CACHE_PER_SLOT:
         lru.popitem(last=False)
     return val
-
-
-def coarse_grouped(
-    ds, fine_keys: list[str], fn, n_buckets: int = 256, min_group_size: int = 1
-):
-    """Apply a per-fine-group pandas function via COARSE shuffle
-    groups: shuffle on ``hash(fine_keys) % n_buckets`` (≈n_buckets
-    medium groups), then run a vectorized pandas ``groupby`` over the
-    fine keys inside each. Ray's ``groupby().map_groups`` launches
-    per-group Python work — with millions of tiny groups (LSH buckets,
-    candidate pairs) that overhead dominates; this keeps the shuffle
-    while amortizing the per-group cost. ``fn(fine_group_df) -> df``.
-
-    ``min_group_size > 1`` drops smaller fine groups *vectorized*
-    before fn runs — for pair expansion over LSH buckets the vast
-    majority of buckets are singletons that can't produce pairs, so
-    this removes almost every Python call.
-    """
-    import pandas as pd
-    import pyarrow as pa
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        h = pd.util.hash_pandas_object(df[fine_keys], index=False)
-        return batch.append_column(
-            "__bucket", pa.array((h % n_buckets).astype("int32"))
-        )
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__bucket")
-        if min_group_size > 1 and len(g):
-            sizes = g.groupby(fine_keys, sort=False)[fine_keys[0]].transform("size")
-            g = g[sizes >= min_group_size]
-        outs = [fn(sub) for _, sub in g.groupby(fine_keys, sort=False)]
-        outs = [o for o in outs if len(o)]
-        if not outs:
-            return fn(g.iloc[0:0])
-        return pd.concat(outs, ignore_index=True)
-
-    bucketed = ds.map_batches(add_bucket, batch_format="pyarrow")
-    return bucketed.groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
 
 
 def bucketed_join(
@@ -224,10 +176,10 @@ def coarse_apply(ds, keys: list[str], fn, n_buckets: int = 256):
     """Apply a VECTORIZED pandas function per coarse hash bucket of
     ``keys``: shuffle on ``hash(keys) % n_buckets``, call ``fn`` once
     per bucket with all of that bucket's rows (every fine key's rows
-    colocated). Unlike :func:`coarse_grouped` there is no per-fine-
-    group Python call at all — ``fn`` is expected to handle the whole
-    bucket with pandas groupby/transform kernels. The right shape for
-    per-key ordered analytics over millions of tiny keys."""
+    colocated). There is no per-fine-group Python call at all — ``fn``
+    is expected to handle the whole bucket with pandas
+    groupby/transform kernels. The right shape for per-key ordered
+    analytics over millions of tiny keys."""
     import pandas as pd
     import pyarrow as pa
 
@@ -307,19 +259,6 @@ def coarse_dedup(ds, keys: list[str], n_buckets: int = 64):
 
     bucketed = ds.map_batches(add_bucket, batch_format="pyarrow")
     return bucketed.groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
-
-
-def partial_group_agg(keys: list[str], aggs: list[tuple[str, str]]):
-    """Return a map_batches fn computing a per-batch grouped partial
-    aggregate with ``pyarrow.Table.group_by`` (vectorized). ``aggs``
-    is ``[(column, fn)]`` with fn in {'sum','count','min','max'};
-    output columns are named ``{column}_{fn}`` (pyarrow convention).
-    """
-
-    def _agg(batch: pa.Table) -> pa.Table:
-        return batch.group_by(keys).aggregate(aggs)
-
-    return _agg
 
 
 def sql_source(table_or_path: str) -> str:

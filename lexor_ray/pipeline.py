@@ -3,11 +3,11 @@
 The reference pipeline (``lexor/command/to.py:225-291``: read → parse →
 convert → write, one file per process) restated Ray-Data-first
 (SURVEY.md §3.1): ``read_parquet(transcripts)`` →
-``map_batches(ExtractBatch, batch_format='pyarrow')`` on an actor pool
-(compiled dialect registries built once per actor, §2.7) →
-optional ``sort(['conv_id','turn_idx'])`` ordering shuffle →
-``write_parquet`` with a per-chunk lineage manifest enabling exact
-resume (north rule).
+``map_batches`` over stateless tasks running :class:`ExtractBatch`
+(compiled dialect registries built once per worker process and cached,
+§2.7) → optional ``sort(['conv_id','turn_idx'])`` ordering shuffle →
+``write_parquet`` into content-addressed parts with a per-chunk
+lineage manifest enabling exact resume (north rule).
 
 Scale notes (100 TB / 10^12 turns):
 
@@ -17,19 +17,25 @@ Scale notes (100 TB / 10^12 turns):
 - ``columns=`` pruning at the read: only ``conv_id, turn_idx, text``
   leave storage for extraction.
 - Long tool-output turns: handled by a character budget per batch —
-  the actor slices incoming Arrow batches so a few multi-MB rows never
+  the UDF slices incoming Arrow batches so a few multi-MB rows never
   ride with thousands of small ones (length-skew mitigation of
   SURVEY.md §4.3 without a repartition pass).
 - Resumability: input files are processed in deterministic chunks;
-  each chunk writes to its own output directory (atomic rename) plus a
-  ``manifest/part-*.json`` with input fragment identity, parser-rule
-  hit counts and span checksums. A rerun skips completed chunks.
+  each chunk lands as ``data/part-<key>/`` (atomic rename) plus a
+  ``manifest/part-<key>.json`` with input fragment identity,
+  parser-rule hit counts and span checksums, where ``key`` hashes
+  everything that decides the chunk's output (:func:`_part_key`). A
+  rerun skips completed chunks; ``_commit.json`` names the live parts.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import os
+import shutil
+import uuid
 import zlib
 
 import numpy as np
@@ -37,10 +43,8 @@ import pyarrow as pa
 
 from .extract import Extractor
 
-TRANSCRIPT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
 EXTRACT_INPUT_COLUMNS = ["conv_id", "turn_idx", "text"]
 
-SPAN_TYPE = pa.list_(pa.struct([("start", pa.int64()), ("end", pa.int64())]))
 LOG_TYPE = pa.list_(
     pa.struct(
         [
@@ -69,10 +73,11 @@ def transcript_schema() -> pa.Schema:
 
 
 class ExtractBatch:
-    """Actor-pool batch UDF: parse→convert→write per row, fused
-    (SURVEY.md §2.2 legend). Dialect registries are compiled once per
-    actor here in ``__init__`` — the Ray restatement of the
-    reference's ``_reload`` amortization (``parser.py:159-160``)."""
+    """Batch UDF: parse→convert→write per row, fused (SURVEY.md §2.2
+    legend). Dialect registries are compiled once in ``__init__`` and
+    the instance is cached per worker process (``_WORKER_EXTRACTORS``)
+    — the Ray restatement of the reference's ``_reload`` amortization
+    (``parser.py:159-160``)."""
 
     #: stable rule order for the lineage hit vector
     RULE_NAMES = [
@@ -175,20 +180,11 @@ class ExtractBatch:
         return out
 
 
-def default_concurrency() -> int:
-    import ray
-
-    if ray.is_initialized():
-        return max(2, int(ray.cluster_resources().get("CPU", 4)) - 1)
-    return 4
-
-
-#: per-worker-process extractor cache: the stateless-task equivalent
-#: of actor ``__init__`` state — Ray reuses worker processes across
-#: tasks, so the compiled dialect registries are built once per worker
-#: and amortized exactly like actor state, WITHOUT the actor-pool
-#: dispatch overhead (measured 1.7-3x slower than the task pool for
-#: this workload on Ray 2.49 local mode; see BASELINE.md).
+#: per-worker-process extractor cache: Ray reuses worker processes
+#: across tasks, so the compiled dialect registries are built once per
+#: worker, without an actor pool's dispatch overhead (an actor pool
+#: measured 1.7-3x slower for this workload on Ray 2.49 local mode;
+#: see BASELINE.md).
 _WORKER_EXTRACTORS: dict[tuple, "ExtractBatch"] = {}
 
 
@@ -216,7 +212,6 @@ def extract_ds(
     emit_log: bool = True,
     emit_lineage: bool = True,
     max_batch_chars: int = 8_000_000,
-    use_actors: bool = False,
     carry_source: bool = True,
 ):
     """Attach the fused extraction stage to a transcripts Dataset.
@@ -226,33 +221,13 @@ def extract_ds(
     the production-sink shape, cutting emission/write bytes per turn
     nearly in half on this corpus.
 
-    Default path: stateless tasks with a per-worker extractor cache
-    (state amortized per worker process, elastic scheduling).
-    ``use_actors=True`` switches to the explicit actor pool
-    (``concurrency`` = pool size) — semantically identical; useful
-    when the stage must pin resources. ``batch_size=None`` processes
-    whole blocks; the char-budget inside :class:`ExtractBatch` still
-    splits pathological long-turn batches.
+    The stage runs as stateless tasks with a per-worker extractor
+    cache (state amortized per worker process, elastic scheduling).
+    ``batch_size=None`` processes whole blocks; the char-budget inside
+    :class:`ExtractBatch` still splits pathological long-turn batches.
     """
     import functools
 
-    if use_actors:
-        if concurrency is None:
-            concurrency = default_concurrency()
-        return ds.map_batches(
-            ExtractBatch,
-            fn_constructor_kwargs=dict(
-                dialect=dialect,
-                emit_log=emit_log,
-                emit_lineage=emit_lineage,
-                max_batch_chars=max_batch_chars,
-                carry_source=carry_source,
-            ),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            num_cpus=1,
-        )
     fn = functools.partial(
         _extract_batches,
         dialect=dialect,
@@ -283,22 +258,6 @@ def stable_order(ds):
     return ds.sort(["conv_id", "turn_idx"])
 
 
-def order_within_conversations(ds):
-    """Per-conversation turn ordering via ``groupby(conv_id)`` +
-    in-group sort. MEASURED CAVEAT (BENCH/BASELINE.md): with many
-    small conversations the per-group call overhead makes this SLOWER
-    than the global ``stable_order`` sort (19.4s vs 17.2s at 4M
-    turns); prefer it only when conversations are large enough that
-    per-group work amortizes (or when downstream genuinely needs
-    group-at-a-time processing)."""
-    import pyarrow as pa
-
-    def sort_group(t: pa.Table) -> pa.Table:
-        return t.sort_by("turn_idx")
-
-    return ds.groupby("conv_id").map_groups(sort_group, batch_format="pyarrow")
-
-
 def conversation_stats(ds, salt_buckets: int = 8):
     """Per-conversation roll-up (n_turns, total_chars) with **salted
     keys**: pass 1 groups by ``(conv_id, salt)`` so a pathological
@@ -306,7 +265,6 @@ def conversation_stats(ds, salt_buckets: int = 8):
     reducers; pass 2 merges the tiny salted partials per conv_id
     (SURVEY.md §4.3 hot-key design — ordering-free because the
     aggregate is associative)."""
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -355,14 +313,6 @@ def conversation_stats(ds, salt_buckets: int = 8):
 # from checkpoint with per-partition lineage + metrics")
 
 
-def write_partitioned(ds, out_dir: str, partition_cols: list[str]):
-    """Hive-partitioned parquet sink (``out_dir/col=value/...``):
-    downstream readers prune whole partitions at the path level —
-    the other half of 'prune at the read'."""
-    ds.write_parquet(out_dir, partition_cols=partition_cols)
-    return out_dir
-
-
 def ensure_fsspec_http_probe() -> None:
     """Make Ray's per-write `fsspec.implementations.http` probe
     race-free under threads. When aiohttp is absent that import FAILS,
@@ -371,7 +321,7 @@ def ensure_fsspec_http_probe() -> None:
     ImportError that Ray's probe doesn't catch. Register a stub module
     with an HTTPFileSystem sentinel class once: the probe then
     succeeds and its isinstance check is correctly False for real
-    filesystems. Shared by run_extraction(max_in_flight>1) and the
+    filesystems. Shared by run_extraction's chunk threads and the
     overlapped tools/check_correctness.py gate."""
     try:
         from fsspec.implementations.http import HTTPFileSystem  # noqa: F401
@@ -409,6 +359,51 @@ def _chunks(seq, size):
         yield seq[i : i + size]
 
 
+def _read_json(path: str):
+    """The JSON value at ``path``, or ``None`` when it is missing or
+    unreadable."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError):
+        return None
+
+
+def _finished(mpath: str, chunk: list[str]) -> dict | None:
+    """The manifest at ``mpath`` if it records ``chunk`` as done; a
+    missing, corrupt or foreign manifest means "not done"."""
+    rec = _read_json(mpath)
+    if isinstance(rec, dict) and rec.get("inputs") == chunk and isinstance(rec.get("rows"), int):
+        return rec
+    return None
+
+
+def _write_json(path: str, obj) -> None:
+    """Atomic write: a uniquely named tmp file, then ``os.replace``, so
+    concurrent writers never interleave into one file."""
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    with open(tmp, "w") as fh:
+        json.dump(obj, fh)
+    try:
+        os.replace(tmp, path)
+    except FileNotFoundError:
+        # a concurrent run's cleanup removed our tmp file; it keeps a
+        # manifest only when that run landed the same part there
+        if not os.path.exists(path):
+            raise
+
+
+def _part_key(chunk: list[str], dialect: str, carry_source: bool) -> str:
+    """Content address of one chunk's output: everything that decides
+    the bytes a chunk writes. A change of inputs, chunking, dialect,
+    ``carry_source`` or engine version gives a new key, so a rerun can
+    never match a part written under other settings."""
+    from . import __version__
+
+    blob = json.dumps([chunk, dialect, carry_source, __version__])
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
 def run_extraction(
     input_path: str,
     out_dir: str,
@@ -419,23 +414,41 @@ def run_extraction(
     max_in_flight: int = 2,
     carry_source: bool = False,
 ) -> dict:
-    """Process a directory (or file) of transcripts parquet in
-    deterministic chunks of input files. Completed chunks are recorded
-    in ``out_dir/manifest/part-*.json`` and skipped on rerun; data
-    lands under ``out_dir/data/part-*/`` via atomic rename. Returns a
-    summary dict.
+    """Extract a directory (or file) of transcripts parquet in
+    deterministic chunks of ``files_per_chunk`` input files and return
+    a summary dict (``chunks_total``, ``chunks_skipped``, ``rows``,
+    ``rows_skipped``).
 
-    At cluster scale each chunk is sized (``files_per_chunk``) to keep
-    every node busy while bounding the work lost to a mid-chunk
-    failure; within a chunk execution is fully streaming. Up to
-    ``max_in_flight`` chunk pipelines run concurrently (each Dataset
-    has its own streaming executor) so one chunk's startup/lineage
-    tail overlaps the next chunk's compute — measured to recover most
-    of the per-chunk startup cost of the strictly sequential loop
-    (BENCH/BASELINE.md soak); chunk identity, manifests and atomic
-    renames are unchanged, so resume semantics are identical.
+    Output layout, correct by naming alone:
+
+    - ``data/part-<key>/`` holds a chunk's parquet files and
+      ``manifest/part-<key>.json`` its lineage record (inputs, rows,
+      span checksum, rule hits). ``key`` is :func:`_part_key`: the first
+      16 hex digits of sha256 over the chunk's input paths, the
+      dialect, ``carry_source`` and ``lexor_ray.__version__``.
+    - A chunk is done when its manifest loads and names the chunk's
+      inputs; a rerun skips it. Otherwise the chunk is written to a
+      uniquely named ``data/.<uuid>.tmp`` dir, its lineage computed
+      from there, and the dir renamed to ``data/part-<key>/``. If that
+      name already exists another run landed the same content first:
+      ours is dropped and the landed part kept.
+    - When every chunk is done, ``_commit.json`` lists the part keys
+      in chunk order with their rows (rewritten only when it changes),
+      and every entry of ``data/`` and ``manifest/`` it does not name
+      is deleted, including the tmp dirs of crashed runs.
+
+    Runs with the same arguments may share an ``out_dir``; runs with
+    different arguments on one ``out_dir`` at the same time delete
+    each other's parts (the last commit wins). Readers take the part
+    set from ``_commit.json``; ``pyarrow.dataset`` over ``data/`` also
+    skips the dot-named tmp dirs.
+
+    Up to ``max_in_flight`` chunk pipelines run at once (each Dataset
+    has its own streaming executor), so one chunk's startup and
+    lineage tail overlaps the next chunk's compute (BENCH/BASELINE.md
+    soak).
     """
-    import ray.data
+    from concurrent.futures import ThreadPoolExecutor
 
     if os.path.isdir(input_path):
         files = sorted(
@@ -445,14 +458,12 @@ def run_extraction(
         )
     else:
         files = [input_path]
-    # refuse to run — and in particular to SWEEP a previous successful
-    # run's parts — on an empty or nonexistent input set: a mistyped
-    # path or a transiently unmounted dir must not become data loss
-    # (r5 review)
+    # a mistyped path or a transiently unmounted dir must not become
+    # data loss: the cleanup would delete the previous run's output
     if not files:
         raise ValueError(
             f"no .parquet inputs under {input_path!r}; refusing to run "
-            "(the orphan sweep would delete the previous run's output)"
+            "(the cleanup would delete the previous run's output)"
         )
     missing = [f for f in files if "://" not in f and not os.path.exists(f)]
     if missing:
@@ -461,269 +472,65 @@ def run_extraction(
     data_dir = os.path.join(out_dir, "data")
     os.makedirs(manifest_dir, exist_ok=True)
     os.makedirs(data_dir, exist_ok=True)
-    summary = {"chunks_total": 0, "chunks_skipped": 0, "rows": 0, "rows_skipped": 0}
-    jobs: list[tuple[int, list]] = []
-    for ci, chunk in enumerate(_chunks(files, files_per_chunk)):
-        part = f"part-{ci:05d}"
-        mpath = os.path.join(manifest_dir, part + ".json")
-        summary["chunks_total"] += 1
-        if os.path.exists(mpath):
-            try:
-                with open(mpath) as fh:
-                    rec = json.load(fh)
-            except (OSError, ValueError):
-                rec = {}  # corrupt/partial manifest → reprocess (r5)
-            if rec.get("inputs") == chunk:  # same fragment identity
-                summary["chunks_skipped"] += 1
-                summary["rows"] += rec.get("rows", 0)
-                # rows NOT processed this run — lets resuming tools
-                # report honest throughput without re-deriving it from
-                # a manifest scan that miscounts stale/orphaned parts
-                # (r4 review)
-                summary["rows_skipped"] += rec.get("rows", 0)
-                continue
-        jobs.append((ci, chunk))
+    chunks = list(_chunks(files, files_per_chunk))
+    keys = [_part_key(chunk, dialect, carry_source) for chunk in chunks]
+    rows: dict[str, int] = {}
+    summary = {"chunks_total": len(chunks), "chunks_skipped": 0, "rows": 0, "rows_skipped": 0}
+    for key, chunk in zip(keys, chunks):
+        rec = _finished(os.path.join(manifest_dir, f"part-{key}.json"), chunk)
+        if rec is not None:
+            rows[key] = rec["rows"]
+            summary["chunks_skipped"] += 1
+            summary["rows_skipped"] += rec["rows"]
+    jobs = [(k, c) for k, c in zip(keys, chunks) if k not in rows]
 
-    # sweep orphaned parts left by a previous run with a different
-    # chunking or input set: chunk identity is index-based, so a rerun
-    # with fewer chunks would otherwise leave the old higher-numbered
-    # parts (data AND manifests) in place and every downstream reader
-    # of data/ would see those rows twice (r4 review). Only parts this
-    # run will not (re)write are removed — and only when the run-level
-    # identity (input list + chunking) CHANGED: two concurrent
-    # invocations sharing an out_dir on the same inputs (a resumed
-    # submit while a soak runs, ADVICE r4) then never delete each
-    # other's in-progress tmp dirs or manifests. A missing/unreadable
-    # run.json sweeps conservatively (pre-identity layouts may hold
-    # orphans). Concurrent runs with DIFFERENT identities on one
-    # out_dir remain misuse — they contend for the same part names.
-    import shutil as _shutil
-
-    run_ident = {"inputs": files, "files_per_chunk": files_per_chunk}
-    run_path = os.path.join(out_dir, "run.json")
-    lock_path = os.path.join(out_dir, ".run.lock")
-    prev_ident = None
-    if os.path.exists(run_path):
+    def process(key: str, chunk: list) -> int:
+        part = os.path.join(data_dir, f"part-{key}")
+        mpath = os.path.join(manifest_dir, f"part-{key}.json")
+        tmp = os.path.join(data_dir, f".{uuid.uuid4().hex}.tmp")
+        rec = None
         try:
-            with open(run_path) as fh:
-                prev_ident = json.load(fh)
-        except (OSError, ValueError):
-            prev_ident = None
-
-    def _pid_alive(pid: int) -> bool:
-        if pid <= 0:
-            return False
-        try:
-            os.kill(pid, 0)  # liveness probe only, no signal sent
-        except ProcessLookupError:
-            return False  # pid is gone
-        except OSError:
-            # EPERM: the pid EXISTS but belongs to another uid (e.g. a
-            # root-launched soak probed by a user rerun) — that is a
-            # LIVE holder, not a stale lock (r5 review)
-            return True
-        return True
-
-    def _live_foreign_lock() -> bool:
-        """True iff another LIVE process holds this out_dir's lock —
-        its in-progress parts must not be swept even when the
-        chunking identity differs. Pid-based liveness can
-        false-positive on a RECYCLED pid (or another uid's unrelated
-        process via EPERM) — the failure mode is then a permanently
-        deferred sweep, healed by manually deleting ``.run.lock``;
-        erring live is the safe direction (a false 'dead' would sweep
-        a running job's parts)."""
-        try:
-            with open(lock_path) as fh:
-                raw = fh.read().strip()
-        except OSError:
-            return False
-        if not raw:
-            # the holder may sit between the O_EXCL create and the pid
-            # write — a FRESH empty lock counts as live; an old one is
-            # debris from a crash inside that window (r5 review)
-            import time
-
-            try:
-                return (time.time() - os.path.getmtime(lock_path)) < 60.0
-            except OSError:
-                return False
-        try:
-            pid = int(raw)
-        except ValueError:
-            return False
-        if pid == os.getpid():
-            return False
-        return _pid_alive(pid)
-
-    if prev_ident != run_ident:
-        if _live_foreign_lock():
-            # sweep deferred — but run.json no longer describes what
-            # the directory will hold once this run lands parts under
-            # a NEW identity, so drop it: the next uncontended run then
-            # sweeps conservatively instead of skipping forever on a
-            # stale identity match (r5 review)
-            try:
-                os.remove(run_path)
-            except OSError:
-                pass
-        else:
-            expected = {
-                f"part-{ci:05d}" for ci in range(summary["chunks_total"])
-            }
-            for name in os.listdir(manifest_dir):
-                if (
-                    name.endswith(".json")
-                    and name[: -len(".json")] not in expected
-                ):
-                    os.remove(os.path.join(manifest_dir, name))
-            for name in os.listdir(data_dir):
-                base = (
-                    name[1 : -len(".tmp")]
-                    if name.startswith(".") and name.endswith(".tmp")
-                    else name
-                )
-                # pid-suffixed tmp names (".part-00001.123.tmp") parse
-                # to a base outside `expected` and are swept here too
-                if base not in expected:
-                    _shutil.rmtree(
-                        os.path.join(data_dir, name), ignore_errors=True
-                    )
-            rtmp = run_path + ".tmp"
-            with open(rtmp, "w") as fh:
-                json.dump(run_ident, fh)
-            os.replace(rtmp, run_path)
-
-    def process(ci: int, chunk: list) -> int:
-        part = f"part-{ci:05d}"
-        mpath = os.path.join(manifest_dir, part + ".json")
-        pdir = os.path.join(data_dir, part)
-        # pid-suffixed tmp dir: two LIVE runs sharing an out_dir (a
-        # resumed submit beside a soak, ADVICE r4) must never write
-        # into the same in-progress dir (r5 review). Leftover tmp dirs
-        # for this part from DEAD runs (incl. the old un-suffixed
-        # ".part-X.tmp" layout, which parses to owner 0) are reaped;
-        # a live run's tmp is left alone.
-        tmp = os.path.join(data_dir, f".{part}.{os.getpid()}.tmp")
-        import shutil
-
-        prefix, suffix = "." + part + ".", ".tmp"
-        for name in os.listdir(data_dir):
-            if not (name.startswith(prefix) and name.endswith(suffix)):
-                continue
-            try:
-                owner = int(name[len(prefix) : -len(suffix)])
-            except ValueError:
-                owner = 0
-            if owner == os.getpid() or not _pid_alive(owner):
-                shutil.rmtree(
-                    os.path.join(data_dir, name), ignore_errors=True
-                )
-        # same reap for crash-orphaned manifest tmp files (r5 review)
-        mprefix = part + ".json."
-        for name in os.listdir(manifest_dir):
-            if not (name.startswith(mprefix) and name.endswith(suffix)):
-                continue
-            try:
-                owner = int(name[len(mprefix) : -len(suffix)])
-            except ValueError:
-                owner = 0
-            if owner == os.getpid() or not _pid_alive(owner):
-                try:
-                    os.remove(os.path.join(manifest_dir, name))
-                except OSError:
-                    pass
-        ds = read_transcripts(chunk)
-        ds = extract_ds(
-            ds,
-            dialect=dialect,
-            batch_size=batch_size,
-            concurrency=concurrency,
-            carry_source=carry_source,
-        )
-        # NOTE (measured, BENCH/BASELINE.md soak): a materialize-once
-        # tier that fed both the write and the lineage partials from
-        # pinned blocks was TRIED here and lost ~20% end-to-end — the
-        # per-chunk materialization barrier and the extra object-store
-        # traffic cost more than the column-pruned read-back saves, so
-        # the streaming write + distributed read-back stays.
-        ds.write_parquet(tmp)
-        # lineage is computed from OUR OWN pid-unique tmp dir BEFORE
-        # the rename (r5 review, probed live): a concurrent
-        # same-identity run may rmtree+replace the landed part dir at
-        # any time, so no run may ever read a path another run can
-        # delete. The record is identical — same files, pre-rename.
-        rec = _chunk_lineage(tmp, chunk)
-        if os.path.exists(mpath):
-            # another live same-identity run completed this chunk while
-            # we computed it — keep ITS landed output and discard ours
-            try:
-                with open(mpath) as fh:
-                    done = json.load(fh)
-            except (OSError, ValueError):
-                done = {}
-            if done.get("inputs") == chunk:
-                shutil.rmtree(tmp, ignore_errors=True)
-                return done["rows"]
-        if os.path.exists(pdir):
-            shutil.rmtree(pdir)
-        os.rename(tmp, pdir)
-        # pid-suffixed manifest tmp: concurrent runs must never
-        # interleave writes into one tmp file and rename corrupt JSON
-        # into place (r5 review)
-        mtmp = mpath + f".{os.getpid()}.tmp"
-        with open(mtmp, "w") as fh:
-            json.dump(rec, fh)
-        os.rename(mtmp, mpath)
+            ds = extract_ds(
+                read_transcripts(chunk),
+                dialect=dialect,
+                batch_size=batch_size,
+                concurrency=concurrency,
+                carry_source=carry_source,
+            )
+            ds.write_parquet(tmp)
+            rec = _chunk_lineage(tmp, chunk)
+            os.rename(tmp, part)
+        except Exception:
+            # another run with this key got there first: the rename
+            # found its part in place, or its cleanup removed our tmp
+            # dir. Same key, same content, so keep what landed.
+            shutil.rmtree(tmp, ignore_errors=True)
+            landed = _finished(mpath, chunk)
+            if landed is not None:
+                return landed["rows"]
+            if rec is None or not os.path.isdir(part):
+                raise
+        _write_json(mpath, rec)
         return rec["rows"]
 
-    def _acquire_lock() -> None:
-        """Atomic O_CREAT|O_EXCL acquisition: the old check-then-write
-        let two racing runs both 'acquire', after which the loser's
-        clean exit unlinked the winner's lock and left it unprotected
-        against a third run's sweep (r5 review). A dead holder's lock
-        is reaped once and the create retried; losing the race is fine
-        — the loser simply runs lockless, exactly like the old
-        same-identity-concurrent path."""
-        for _ in range(2):
-            try:
-                fd = os.open(
-                    lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                )
-            except FileExistsError:
-                if _live_foreign_lock():
-                    return
-                try:
-                    os.remove(lock_path)  # dead holder — reap, retry
-                except OSError:
-                    return
-                continue
-            except OSError:
-                return
-            with os.fdopen(fd, "w") as fh:
-                fh.write(str(os.getpid()))
-            return
+    ensure_fsspec_http_probe()
+    with ThreadPoolExecutor(max_workers=max(1, max_in_flight)) as pool:
+        for (key, _), n in zip(jobs, pool.map(lambda job: process(*job), jobs)):
+            rows[key] = n
 
-    _acquire_lock()
-    try:
-        if max_in_flight <= 1 or len(jobs) <= 1:
-            for ci, chunk in jobs:
-                summary["rows"] += process(ci, chunk)
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            ensure_fsspec_http_probe()
-
-            with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-                for rows in pool.map(lambda j: process(*j), jobs):
-                    summary["rows"] += rows
-    finally:
-        try:  # release only a lock this process owns
-            with open(lock_path) as fh:
-                if int(fh.read().strip() or 0) == os.getpid():
-                    os.remove(lock_path)
-        except (OSError, ValueError):
-            pass
+    commit = {"parts": [{"key": k, "rows": rows[k]} for k in keys]}
+    commit_path = os.path.join(out_dir, "_commit.json")
+    if _read_json(commit_path) != commit:
+        _write_json(commit_path, commit)
+    live = {f"part-{k}" for k in keys}
+    for name in os.listdir(data_dir):
+        if name not in live:
+            shutil.rmtree(os.path.join(data_dir, name), ignore_errors=True)
+    for name in os.listdir(manifest_dir):
+        if name.removesuffix(".json") not in live:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(manifest_dir, name))
+    summary["rows"] = sum(rows.values())
     return summary
 
 

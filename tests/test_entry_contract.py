@@ -46,3 +46,28 @@ def test_module_does_not_own_ray(ray_session):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
     ]
     assert "init" not in calls and "shutdown" not in calls
+
+
+def test_oracle_data_paths_follow_lexor_ray_data(tmp_path):
+    """With LEXOR_RAY_DATA set, every generated-data path the oracle
+    SQL reads lies under it, where the generator writes."""
+    import json
+    import os
+    import subprocess
+
+    repo = str(pathlib.Path(__file__).resolve().parent.parent)
+    code = (
+        "import json, __ray_entry__ as e; "
+        "print(json.dumps({k: v for k, v in vars(e).items() "
+        "if k.startswith('_SF') and isinstance(v, str)}))"
+    )
+    env = dict(os.environ, LEXOR_RAY_DATA=str(tmp_path), PYTHONPATH=repo)
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=env, cwd=repo, timeout=120,
+    )
+    assert r.returncode == 0, r.stderr[-2000:]
+    paths = json.loads(r.stdout.strip().splitlines()[-1])
+    assert {"_SF001_TRANSCRIPTS", "_SF001_GOLDEN", "_SF001_MEDIA_GOLDEN"} <= set(paths)
+    for name, path in paths.items():
+        assert path.startswith(str(tmp_path) + os.sep), (name, path)

@@ -222,6 +222,16 @@ def test_bmp_roundtrip_and_real_decode(ray_session):
     assert feats[2] == 9 * 13
 
 
+def test_decode_image_rejects_payload_breaking_size_contract():
+    """A fake payload shorter than width * height names the contract
+    and the sizes instead of failing inside numpy's reshape."""
+    from lexor_ray.ops.multimodal import decode_image
+
+    assert decode_image(bytes(12), "image/fake", 4, 3).shape == (3, 4)
+    with pytest.raises(ValueError, match=r"11 bytes.*4 \* 3 = 12"):
+        decode_image(bytes(11), "image/fake", 4, 3)
+
+
 def test_minhash_star_cap_preserves_connectivity(ray_session, tmp_path):
     """A duplicate-dense corpus (2000 identical docs → LSH buckets far
     above _BUCKET_STAR_CAP) must still come out as ONE cluster: the

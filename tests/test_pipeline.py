@@ -12,6 +12,7 @@ import pytest
 
 from lexor_ray.extract import Extractor
 from lexor_ray.pipeline import (
+    _part_key,
     extract_ds,
     read_transcripts,
     run_extraction,
@@ -24,6 +25,26 @@ from lexor_ray.transcripts import generate_transcripts, transcripts_dir
 @pytest.fixture(scope="module")
 def small_dir(ray_session):
     return transcripts_dir(0.001)
+
+
+def _snapshot(root):
+    """(size, mtime) of every file under ``root``."""
+    out = {}
+    for d, _, files in os.walk(root):
+        for f in files:
+            st = os.stat(os.path.join(d, f))
+            out[os.path.relpath(os.path.join(d, f), root)] = (st.st_size, st.st_mtime_ns)
+    return out
+
+
+def _rows(out_dir):
+    import pyarrow.dataset as pads
+
+    return (
+        pads.dataset(os.path.join(out_dir, "data"), format="parquet")
+        .to_table(columns=["conv_id", "turn_idx", "extracted_text", "spans"])
+        .sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
+    )
 
 
 def test_generator_deterministic():
@@ -58,23 +79,6 @@ def test_ray_matches_oracle(ray_session, small_dir):
         assert [r["code"] for r in row["log"]] == [
             r["code"] for r in want["log"]
         ], key
-
-
-def test_order_within_conversations(ray_session, small_dir):
-    """Per-conversation ordering without a global sort: within each
-    conv the turns come back sorted by turn_idx."""
-    import ray.data
-
-    from lexor_ray.pipeline import order_within_conversations
-
-    ds = ray.data.read_parquet(small_dir, columns=["conv_id", "turn_idx"])
-    rows = order_within_conversations(ds).take_all()
-    seen = {}
-    for r in rows:
-        prev = seen.get(r["conv_id"], -1)
-        assert r["turn_idx"] > prev, (r["conv_id"], prev, r["turn_idx"])
-        seen[r["conv_id"]] = r["turn_idx"]
-    assert len(rows) == sum(v + 1 for v in seen.values())
 
 
 def test_run_extraction_resumable(ray_session, small_dir, tmp_path):
@@ -146,25 +150,6 @@ def test_resume_after_crash_with_stale_tmp(ray_session, small_dir, tmp_path):
     assert n == s1["rows"]
 
 
-def test_actor_pool_path_matches_task_path(ray_session, small_dir):
-    """extract_ds(use_actors=True) must produce identical rows to the
-    default stateless-task path (the explicit actor-pool alternative
-    stays live and correct)."""
-    ds1 = read_transcripts(small_dir)
-    task_rows = {
-        (r["conv_id"], r["turn_idx"]): r["extracted_text"]
-        for r in extract_ds(ds1, emit_log=False, emit_lineage=False).take_all()
-    }
-    ds2 = read_transcripts(small_dir)
-    actor_rows = {
-        (r["conv_id"], r["turn_idx"]): r["extracted_text"]
-        for r in extract_ds(
-            ds2, emit_log=False, emit_lineage=False, use_actors=True, concurrency=2
-        ).take_all()
-    }
-    assert task_rows == actor_rows
-
-
 def test_char_budget_splits_huge_batches(ray_session):
     """A batch whose text exceeds max_batch_chars is recursively split
     (skew guard for multi-MB turns) with identical total output."""
@@ -193,30 +178,24 @@ def test_char_budget_splits_huge_batches(ray_session):
     ).column("extracted_text").to_pylist()
 
 
-def test_write_partitioned_layout(ray_session, tmp_path):
-    """Hive layout: one directory per partition value, readable with
-    path-level pruning."""
-    import ray.data
-
-    from lexor_ray.pipeline import write_partitioned
-
-    ds = ray.data.read_parquet("/root/testdata/sf0.001/documents.parquet")
-    out = str(tmp_path / "bylang")
-    write_partitioned(ds, out, ["lang"])
-    langs = {d.split("=")[1] for d in os.listdir(out) if d.startswith("lang=")}
-    assert langs == {"en", "de", "fr", "es", "zh"}
-    import pyarrow.dataset as pads
-
-    part = pads.dataset(os.path.join(out, "lang=en"), format="parquet")
-    assert part.count_rows() > 0
-
-
 def test_rerun_is_idempotent(ray_session, small_dir, tmp_path):
+    import json
+
     out_dir = str(tmp_path / "out2")
     s1 = run_extraction(small_dir, out_dir, files_per_chunk=2, concurrency=2)
+    before = _snapshot(out_dir)
     s2 = run_extraction(small_dir, out_dir, files_per_chunk=2, concurrency=2)
     assert s2["chunks_skipped"] == s2["chunks_total"]
     assert s1["rows"] == s2["rows"]
+    # a rerun on finished output touches no file, _commit.json included
+    assert _snapshot(out_dir) == before
+    with open(os.path.join(out_dir, "_commit.json")) as fh:
+        commit = json.load(fh)
+    assert len(commit["parts"]) == s1["chunks_total"]
+    assert sum(p["rows"] for p in commit["parts"]) == s1["rows"]
+    assert sorted(os.listdir(os.path.join(out_dir, "data"))) == sorted(
+        "part-" + p["key"] for p in commit["parts"]
+    )
 
 
 def test_golden_log_codes_match_engine():
@@ -448,9 +427,8 @@ def test_submit_entrypoint_subprocess(small_dir, tmp_path):
 
 def test_rechunked_rerun_sweeps_orphaned_parts(ray_session, small_dir, tmp_path):
     """Rerunning into the same out_dir with a COARSER chunking must
-    remove the previous run's higher-numbered parts (data AND
-    manifests) — chunk identity is index-based, so without the sweep
-    a reader of data/ would see every row twice (r4 review)."""
+    remove the previous run's parts (data AND manifests): otherwise a
+    reader of data/ would see every row twice."""
     import pyarrow.dataset as pds
 
     out_dir = str(tmp_path / "out_rechunk")
@@ -458,49 +436,71 @@ def test_rechunked_rerun_sweeps_orphaned_parts(ray_session, small_dir, tmp_path)
     assert s1["chunks_total"] > 1
     s2 = run_extraction(small_dir, out_dir, files_per_chunk=64, concurrency=2)
     assert s2["chunks_total"] == 1
+    files = sorted(
+        os.path.join(small_dir, f)
+        for f in os.listdir(small_dir)
+        if f.endswith(".parquet")
+    )
+    part = "part-" + _part_key(files, "html-text", False)
     assert sorted(os.listdir(os.path.join(out_dir, "manifest"))) == [
-        "part-00000.json"
+        part + ".json"
     ]
-    assert sorted(os.listdir(os.path.join(out_dir, "data"))) == ["part-00000"]
+    assert sorted(os.listdir(os.path.join(out_dir, "data"))) == [part]
     rows = pds.dataset(os.path.join(out_dir, "data")).count_rows()
     assert rows == s1["rows"] == s2["rows"]
 
 
-def test_sweep_gated_on_run_identity_and_live_lock(
-    ray_session, small_dir, tmp_path
-):
-    """The orphan sweep must fire only when the run identity (input
-    list + chunking) CHANGED and no LIVE process holds the out_dir
-    lock (ADVICE r4): a same-identity rerun leaves foreign parts
-    alone; a live foreign lock defers the sweep even across an
-    identity change; a stale (dead-pid) lock does not block it."""
-    import shutil
-
-    out_dir = str(tmp_path / "out_lockgate")
-    run_extraction(small_dir, out_dir, files_per_chunk=1, concurrency=2)
-    # plant an out-of-range orphan as another run's in-progress part
-    mdir, ddir = os.path.join(out_dir, "manifest"), os.path.join(out_dir, "data")
-    orphan_m = os.path.join(mdir, "part-99999.json")
-    with open(orphan_m, "w") as fh:
-        fh.write("{}")
-    orphan_d = os.path.join(ddir, "part-99999")
-    os.makedirs(orphan_d)
-    # same identity → no sweep, orphan survives
-    run_extraction(small_dir, out_dir, files_per_chunk=1, concurrency=2)
-    assert os.path.exists(orphan_m) and os.path.exists(orphan_d)
-    # identity change but a LIVE foreign lock → sweep deferred
-    with open(os.path.join(out_dir, ".run.lock"), "w") as fh:
-        fh.write(str(os.getppid()))  # a live pid that is not ours
-    run_extraction(small_dir, out_dir, files_per_chunk=64, concurrency=2)
-    assert os.path.exists(orphan_m) and os.path.exists(orphan_d)
-    # stale lock (dead pid) + identity change → sweep proceeds (the
-    # deferred sweep left run.json at the fpc=1 identity, so fpc=2
-    # differs from it)
-    shutil.rmtree(os.path.join(ddir, "part-00000"), ignore_errors=True)
-    os.remove(os.path.join(mdir, "part-00000.json"))
-    with open(os.path.join(out_dir, ".run.lock"), "w") as fh:
-        fh.write("999999999")
+def test_changed_dialect_rerun_gets_fresh_output(ray_session, small_dir, tmp_path):
+    """A rerun into the same out_dir with another dialect must not skip
+    the parts the first dialect wrote: the part key covers the
+    dialect, so every chunk is redone and the old parts are removed."""
+    out_dir = str(tmp_path / "out_dialect")
+    fresh_dir = str(tmp_path / "fresh_latex")
     run_extraction(small_dir, out_dir, files_per_chunk=2, concurrency=2)
-    assert not os.path.exists(orphan_m) and not os.path.exists(orphan_d)
-    # the released lock is gone after a clean return
-    assert not os.path.exists(os.path.join(out_dir, ".run.lock"))
+    s2 = run_extraction(
+        small_dir, out_dir, dialect="latex-text", files_per_chunk=2, concurrency=2
+    )
+    fresh = run_extraction(
+        small_dir, fresh_dir, dialect="latex-text", files_per_chunk=2, concurrency=2
+    )
+    assert s2["chunks_skipped"] == 0
+    assert s2["rows"] == fresh["rows"]
+    assert _rows(out_dir).equals(_rows(fresh_dir))
+    for sub in ("manifest", "data"):
+        assert sorted(os.listdir(os.path.join(out_dir, sub))) == sorted(
+            os.listdir(os.path.join(fresh_dir, sub))
+        )
+
+
+def test_concurrent_runs_share_out_dir(ray_session, small_dir, tmp_path):
+    """Two runs with the same arguments on one out_dir at the same
+    time: both report every row, each chunk lands once, no tmp dir is
+    left behind and the manifests are byte-identical to a solo run's."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    solo_dir = str(tmp_path / "solo")
+    shared = str(tmp_path / "shared")
+    solo = run_extraction(small_dir, solo_dir, files_per_chunk=1, concurrency=2)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futs = [
+            pool.submit(
+                run_extraction, small_dir, shared, files_per_chunk=1, concurrency=2
+            )
+            for _ in range(2)
+        ]
+        results = [f.result(timeout=600) for f in futs]
+    for s in results:
+        assert s["rows"] == solo["rows"]
+        assert s["chunks_total"] == solo["chunks_total"]
+    data = sorted(os.listdir(os.path.join(shared, "data")))
+    assert data == sorted(os.listdir(os.path.join(solo_dir, "data")))
+    assert len(data) == solo["chunks_total"]
+    assert not [n for n in data if n.startswith(".")]
+    mdir, solo_mdir = os.path.join(shared, "manifest"), os.path.join(solo_dir, "manifest")
+    assert sorted(os.listdir(mdir)) == sorted(os.listdir(solo_mdir))
+    for name in os.listdir(solo_mdir):
+        with open(os.path.join(mdir, name), "rb") as a, open(
+            os.path.join(solo_mdir, name), "rb"
+        ) as b:
+            assert a.read() == b.read(), name
+    assert _rows(shared).equals(_rows(solo_dir))

@@ -16,11 +16,16 @@ kill-one-chunk resume probes); ``bench.py --scaling`` measures the
 unchunked extraction at N and 4N parallelism — see BENCH/BASELINE.md
 for both.
 
-The job is resumable by construction: ``run_extraction`` writes one
-atomic data directory + manifest entry per chunk and skips chunks
-whose manifest entry already exists, so resubmitting the SAME command
-after a mid-run failure continues where the dead run stopped
-(verified by the soak's kill/resume run and
+The job is resumable by construction: ``run_extraction`` lands each
+chunk as ``data/part-<key>/`` (atomic rename) plus
+``manifest/part-<key>.json``, where ``key`` hashes the chunk's input
+paths, the dialect, ``carry_source`` and ``lexor_ray.__version__``,
+and skips chunks whose manifest already records them. Resubmitting
+the SAME command after a mid-run failure continues where the dead run
+stopped; a changed ``--dialect`` redoes every chunk. When all chunks
+are done ``_commit.json`` names the live parts and the rest of
+``data/`` and ``manifest/`` is deleted (verified by the soak's
+kill/resume run and
 tests/test_pipeline.py::test_run_extraction_resumable).
 
 Prints ONE JSON line: chunk totals, rows, wall seconds, turns/s.
