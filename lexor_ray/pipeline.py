@@ -6,8 +6,9 @@ convert → write, one file per process) restated Ray-Data-first
 ``map_batches`` over stateless tasks running :class:`ExtractBatch`
 (compiled dialect registries built once per worker process and cached,
 §2.7) → optional ``sort(['conv_id','turn_idx'])`` ordering shuffle →
-``write_parquet`` into content-addressed parts with a per-chunk
-lineage manifest enabling exact resume (north rule).
+a parquet write into content-addressed parts whose write tasks return
+the per-chunk lineage partials, folded into a manifest enabling exact
+resume (north rule) without reading the output back.
 
 Scale notes (100 TB / 10^12 turns):
 
@@ -314,9 +315,10 @@ def conversation_stats(ds, salt_buckets: int = 8):
 
 
 def ensure_fsspec_http_probe() -> None:
-    """Make Ray's per-write `fsspec.implementations.http` probe
-    race-free under threads. When aiohttp is absent that import FAILS,
-    Python evicts the partial module, and every thread re-attempts it
+    """Make Ray's `fsspec.implementations.http` probe (path resolution
+    of every read and file write) race-free under threads. When
+    aiohttp is absent that import FAILS, Python evicts the partial
+    module, and every thread re-attempts it
     — two concurrent attempts race into a non-ModuleNotFoundError
     ImportError that Ray's probe doesn't catch. Register a stub module
     with an HTTPFileSystem sentinel class once: the probe then
@@ -404,6 +406,62 @@ def _part_key(chunk: list[str], dialect: str, carry_source: bool) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _part_sink(path: str, inputs: list[str]):
+    """A Ray Data sink that writes one chunk into the existing dir
+    ``path`` and folds its lineage record (inputs, rows, span checksum
+    xor, rule-hit sums) from what the write tasks return, so no pass
+    reads the output back. After ``write_datasink`` the record is the
+    sink's ``record``. Built here so that importing this module does
+    not import ``ray.data``."""
+    import pyarrow.parquet as pq
+    from ray.data import Datasink
+    from ray.data.block import BlockAccessor
+
+    class _PartSink(Datasink):
+        record = None
+
+        def write(self, blocks, ctx) -> tuple[int, list[int]]:
+            # one file per task, named by its index: a retried task
+            # overwrites its own file instead of adding a second one
+            xor = 0
+            hits = np.zeros(len(ExtractBatch.RULE_NAMES), dtype=np.int64)
+            writer = None
+            try:
+                for block in blocks:
+                    table = BlockAccessor.for_block(block).to_arrow()
+                    if not table.num_rows:
+                        continue
+                    if writer is None:
+                        name = os.path.join(path, f"{ctx.task_idx:05d}.parquet")
+                        writer = pq.ParquetWriter(name, table.schema)
+                    writer.write_table(table)
+                    crc = table.column("span_crc").to_numpy()
+                    xor ^= int(np.bitwise_xor.reduce(crc))
+                    rh = table.column("rule_hits").combine_chunks().flatten()
+                    hits += rh.to_numpy().reshape(table.num_rows, -1).sum(axis=0)
+            finally:
+                if writer is not None:
+                    writer.close()
+            return xor, hits.tolist()
+
+        def on_write_complete(self, write_result) -> None:
+            xor = 0
+            hits = np.zeros(len(ExtractBatch.RULE_NAMES), dtype=np.int64)
+            for x, h in write_result.write_returns:
+                xor ^= x
+                hits += h
+            self.record = {
+                "inputs": inputs,
+                "rows": int(write_result.num_rows),
+                "span_checksum_xor": xor,
+                "rule_hits": {
+                    n: int(c) for n, c in zip(ExtractBatch.RULE_NAMES, hits.tolist())
+                },
+            }
+
+    return _PartSink()
+
+
 def run_extraction(
     input_path: str,
     out_dir: str,
@@ -427,11 +485,14 @@ def run_extraction(
       16 hex digits of sha256 over the chunk's input paths, the
       dialect, ``carry_source`` and ``lexor_ray.__version__``.
     - A chunk is done when its manifest loads and names the chunk's
-      inputs; a rerun skips it. Otherwise the chunk is written to a
-      uniquely named ``data/.<uuid>.tmp`` dir, its lineage computed
-      from there, and the dir renamed to ``data/part-<key>/``. If that
-      name already exists another run landed the same content first:
-      ours is dropped and the landed part kept.
+      inputs; a rerun skips it. Otherwise one Ray Data execution reads
+      it (one block per input file), extracts it and writes it into a
+      uniquely named ``data/.<uuid>.tmp`` dir, one parquet file per
+      write task; the write tasks return the lineage partials the
+      manifest is folded from. The dir is then renamed to
+      ``data/part-<key>/``. If that name already exists another run
+      landed the same content first: ours is dropped and the landed
+      part kept. A chunk without rows lands an empty part.
     - When every chunk is done, ``_commit.json`` lists the part keys
       in chunk order with their rows (rewritten only when it changes),
       and every entry of ``data/`` and ``manifest/`` it does not name
@@ -445,7 +506,7 @@ def run_extraction(
 
     Up to ``max_in_flight`` chunk pipelines run at once (each Dataset
     has its own streaming executor), so one chunk's startup and
-    lineage tail overlaps the next chunk's compute (BENCH/BASELINE.md
+    commit tail overlaps the next chunk's compute (BENCH/BASELINE.md
     soak).
     """
     from concurrent.futures import ThreadPoolExecutor
@@ -490,15 +551,20 @@ def run_extraction(
         tmp = os.path.join(data_dir, f".{uuid.uuid4().hex}.tmp")
         rec = None
         try:
-            ds = extract_ds(
-                read_transcripts(chunk),
+            # made here, not by the write: a chunk with no rows writes
+            # no file and still lands an (empty) part
+            os.makedirs(tmp)
+            sink = _part_sink(tmp, chunk)
+            extract_ds(
+                # one block per input file, never split: each extract
+                # task writes at most one file per input file
+                read_transcripts(chunk, override_num_blocks=len(chunk)),
                 dialect=dialect,
                 batch_size=batch_size,
                 concurrency=concurrency,
                 carry_source=carry_source,
-            )
-            ds.write_parquet(tmp)
-            rec = _chunk_lineage(tmp, chunk)
+            ).write_datasink(sink, concurrency=concurrency)
+            rec = sink.record
             os.rename(tmp, part)
         except Exception:
             # another run with this key got there first: the rename
@@ -533,71 +599,3 @@ def run_extraction(
     summary["rows"] = sum(rows.values())
     return summary
 
-
-def _chunk_lineage(part_dir: str, inputs: list[str]) -> dict:
-    """Per-partition lineage record: input fragment identity,
-    parser-rule hit counts, span checksum (xor of per-row crc32).
-
-    Computed DISTRIBUTED (round-2 verdict item 2): a column-pruned
-    ``read_parquet`` over the chunk's output plus one partial row
-    (count, crc-xor, rule-hit sums) per batch in ``map_batches`` — the
-    driver collects only those scalar partials and folds them, never a
-    chunk-sized column (at production chunk sizes the old driver-side
-    ``to_table`` held 10⁷–10⁸ rows of crc/hits in one table). The xor
-    and sums are order-independent, so the manifest is byte-identical
-    to the old path (asserted by the resume tests)."""
-    import ray.data
-
-    # a handful of coalesced read tasks: the per-chunk output is many
-    # small files, and per-file read tasks made this pass task-launch
-    # bound (measured ~2s/chunk → ~0.7s with coalescing)
-    ds = ray.data.read_parquet(
-        part_dir, columns=["span_crc", "rule_hits"], override_num_blocks=16
-    )
-    return _lineage_record(ds, inputs)
-
-
-def _lineage_record(ds, inputs: list[str]) -> dict:
-    """Fold per-batch lineage partials of a Dataset holding
-    ``span_crc``/``rule_hits`` columns into one manifest record; the
-    driver sees one tiny row per batch, never the columns."""
-    n_rules = len(ExtractBatch.RULE_NAMES)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        crc = batch.column("span_crc").to_numpy(zero_copy_only=False)
-        xor = int(np.bitwise_xor.reduce(crc.astype(np.int64))) if len(crc) else 0
-        rh = batch.column("rule_hits")
-        if len(rh):
-            hits = (
-                np.asarray(
-                    rh.combine_chunks().flatten().to_numpy(zero_copy_only=False)
-                )
-                .reshape(len(rh), -1)
-                .sum(axis=0)
-                .astype(np.int64)
-            )
-        else:
-            hits = np.zeros(n_rules, dtype=np.int64)
-        return pa.table(
-            {
-                "rows": pa.array([len(crc)], type=pa.int64()),
-                "xor": pa.array([xor], type=pa.int64()),
-                "hits": pa.array([hits.tolist()]),
-            }
-        )
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    if len(parts):
-        rows = int(parts["rows"].sum())
-        xor = int(np.bitwise_xor.reduce(parts["xor"].to_numpy().astype(np.int64)))
-        hits = np.asarray(parts["hits"].tolist(), dtype=np.int64).sum(axis=0)
-    else:
-        rows, xor, hits = 0, 0, np.zeros(n_rules, dtype=np.int64)
-    return {
-        "inputs": inputs,
-        "rows": rows,
-        "span_checksum_xor": xor,
-        "rule_hits": {
-            n: int(c) for n, c in zip(ExtractBatch.RULE_NAMES, hits.tolist())
-        },
-    }

@@ -504,3 +504,90 @@ def test_concurrent_runs_share_out_dir(ray_session, small_dir, tmp_path):
         ) as b:
             assert a.read() == b.read(), name
     assert _rows(shared).equals(_rows(solo_dir))
+
+
+def test_manifest_matches_per_row_oracle(ray_session, small_dir, tmp_path):
+    """A 2-file chunk's manifest equals, byte for byte, the record
+    recomputed from ``Extractor.extract_one`` on every source row: rows,
+    xor of crc32(spans as int64 bytes + text as utf-8), rule-hit sums."""
+    import json
+    import zlib
+
+    import numpy as np
+
+    from lexor_ray.pipeline import ExtractBatch
+
+    src = str(tmp_path / "in")
+    os.makedirs(src)
+    for f in sorted(f for f in os.listdir(small_dir) if f.endswith(".parquet"))[:2]:
+        shutil.copy(os.path.join(small_dir, f), src)
+    inputs = sorted(os.path.join(src, f) for f in os.listdir(src))
+    out_dir = str(tmp_path / "out")
+    run_extraction(src, out_dir, files_per_chunk=2)
+    ex = Extractor()
+    rows, xor = 0, 0
+    hits = dict.fromkeys(ExtractBatch.RULE_NAMES, 0)
+    for path in inputs:
+        for text in pq.read_table(path, columns=["text"])["text"].to_pylist():
+            ex.parser.rule_hits = {}
+            res = ex.extract_one(text or "")
+            rows += 1
+            xor ^= zlib.crc32(
+                np.asarray(res["spans"], dtype=np.int64).tobytes()
+                + res["extracted_text"].encode("utf-8", "surrogatepass")
+            )
+            for name, n in ex.parser.rule_hits.items():
+                hits[name] += n
+    want = {"inputs": inputs, "rows": rows, "span_checksum_xor": xor, "rule_hits": hits}
+    key = _part_key(inputs, "html-text", False)
+    with open(os.path.join(out_dir, "manifest", f"part-{key}.json")) as fh:
+        assert fh.read() == json.dumps(want)
+
+
+def test_chunk_read_does_not_split(ray_session, tmp_path):
+    """Each input file is read as one block, so a part holds at most
+    one parquet file per input file of its chunk. The sf0.01 files are
+    large enough that a default read splits each into several blocks."""
+    out_dir = str(tmp_path / "out")
+    s = run_extraction(transcripts_dir(0.01), out_dir, files_per_chunk=2)
+    data = os.path.join(out_dir, "data")
+    parts = os.listdir(data)
+    assert len(parts) == s["chunks_total"] >= 2
+    for part in parts:
+        files = [f for f in os.listdir(os.path.join(data, part)) if f.endswith(".parquet")]
+        assert 1 <= len(files) <= 2, (part, files)
+
+
+def test_empty_chunk_lands_empty_part(ray_session, tmp_path):
+    """A chunk whose input holds no rows lands a part with ``rows: 0``
+    that a rerun skips, instead of failing on a tmp dir the write never
+    made."""
+    import json
+
+    src = tmp_path / "in"
+    src.mkdir()
+    pq.write_table(transcript_schema().empty_table(), str(src / "empty.parquet"))
+    out_dir = str(tmp_path / "out")
+    s1 = run_extraction(str(src), out_dir, files_per_chunk=1)
+    assert s1 == {"chunks_total": 1, "chunks_skipped": 0, "rows": 0, "rows_skipped": 0}
+    key = _part_key([str(src / "empty.parquet")], "html-text", False)
+    with open(os.path.join(out_dir, "manifest", f"part-{key}.json")) as fh:
+        assert json.load(fh)["rows"] == 0
+    assert os.listdir(os.path.join(out_dir, "data")) == [f"part-{key}"]
+    s2 = run_extraction(str(src), out_dir, files_per_chunk=1)
+    assert s2["chunks_skipped"] == 1 and s2["rows"] == 0
+
+
+def test_import_leaves_ray_data_unloaded():
+    """Importing the package and the pipeline module must not import
+    ``ray.data``: the sink class is built inside ``run_extraction``."""
+    import subprocess
+    import sys
+
+    code = "import sys, lexor_ray, lexor_ray.pipeline; print('ray.data' in sys.modules)"
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=repo, timeout=120
+    )
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert r.stdout.strip() == "False"
