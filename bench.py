@@ -105,12 +105,18 @@ def run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
     # is not re-emitted); the default keeps the r1–r3-comparable shape
     prod_shape = os.environ.get("GRAFT_PROD_SHAPE", "") not in ("", "0")
 
+    def read_per_file(d: str):
+        # one block per input file, never split — the read shape
+        # run_extraction uses for each chunk
+        files = sorted(_glob.glob(os.path.join(d, "*.parquet")))
+        return read_transcripts(files, override_num_blocks=len(files))
+
     def run_extract():
         import shutil
 
         out_dir = "/tmp/lexor_ray_bench/extract"
         shutil.rmtree(out_dir, ignore_errors=True)
-        ds = read_transcripts(tdir, override_num_blocks=num_cpus * 4)
+        ds = read_per_file(tdir)
         out = extract_ds(
             ds, emit_log=True, emit_lineage=True, carry_source=not prod_shape
         )
@@ -199,9 +205,7 @@ def run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
             for _ in range(2):
                 shutil.rmtree(out_dir, ignore_errors=True)
                 t0 = time.time()
-                ds = read_transcripts(
-                    tdir_big, override_num_blocks=num_cpus * 4
-                )
+                ds = read_per_file(tdir_big)
                 out = extract_ds(
                     ds, emit_log=True, emit_lineage=True,
                     carry_source=carry_source,

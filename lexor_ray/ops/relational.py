@@ -254,10 +254,12 @@ def customer_nation_revenue(sf_dir: str):
     per-row ``dict.get`` loop was the hot path):
 
     1. per-batch partial aggregate of orders keyed on o_custkey
-       (vectorized ``pyarrow group_by``) → global groupby(o_custkey)
-       — the shuffle moves one row per customer, not per order
-    2. distributed task-based hash join (``bucketed_join``) of the
-       per-customer partials to customer on custkey
+       (vectorized ``pyarrow group_by``) — one row per (customer,
+       batch), not per order
+    2. distributed task-based hash join (``bucketed_join``) of those
+       partials to customer on custkey — the only keyed shuffle: the
+       nation roll-up is a sum, so it needs no one-row-per-customer
+       pass first
     3. nation (a TRUE fixed-size dimension, 25 rows) broadcast via
        ``ray.put`` and applied with a vectorized pandas ``.map``
     4. tiny partial → final groupby(n_name)
@@ -267,20 +269,17 @@ def customer_nation_revenue(sf_dir: str):
     orders = tbl(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        return batch.group_by(["o_custkey"]).aggregate(
+        agg = batch.group_by(["o_custkey"]).aggregate(
             [("o_totalprice", "sum"), ("o_totalprice", "count")]
         )
-
-    from ray.data.aggregate import Sum
-
-    per_cust = (
-        orders.map_batches(partial, batch_format="pyarrow")
-        .groupby("o_custkey")
-        .aggregate(
-            Sum("o_totalprice_sum", alias_name="revenue"),
-            Sum("o_totalprice_count", alias_name="n_orders"),
+        return pa.table(
+            {
+                "o_custkey": agg["o_custkey"],
+                "revenue": agg["o_totalprice_sum"],
+                "n_orders": agg["o_totalprice_count"],
+            }
         )
-    )
+
     cust = tbl(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
     # task-based hash join (see q3_top_revenue_orders: Dataset.join's
     # per-partition actor reservation measured 33 s vs ~2 s here at
@@ -288,7 +287,7 @@ def customer_nation_revenue(sf_dir: str):
     from .util import bucketed_join
 
     joined = bucketed_join(
-        per_cust,
+        orders.map_batches(partial, batch_format="pyarrow"),
         cust,
         key_col="o_custkey",
         right_key="c_custkey",

@@ -1,38 +1,29 @@
-"""Cross-row per-key state: Dataset-native default, raw-actor demo.
+"""Cross-row per-key state, Dataset-native.
 
-The custom-operator ladder (SURVEY.md intro): (a) compose Dataset ops,
-(b) actor-pool stage, (c) raw Ray actors when the Dataset API can't
-express the semantics. Round 1 shipped tier (c) as the DEFAULT for
-``first_tool_turn_flags`` — a global sort plus a driver-side
-``iter_batches`` feed, which violates this repo's own hard-won rule
-(driver iteration caps ~50k rows/s) and was flagged by the round-1
-verdict. This query never needed tier (c): "tool turn seen strictly
-before by ts within the conversation" only requires all of one
-conversation's rows to be colocated, which ``groupby(conv_id)``
-guarantees — order is recovered INSIDE the group with a vectorized
-sort. That Dataset-native path is now the default; the bucket-actor
-tier remains below as the honest demo of (c) semantics (a shared
-mutable index observing rows in stream order), with a parity test.
+"Tool turn seen strictly before by ts within the conversation" needs
+every row of one conversation in one place, which a keyed shuffle on
+``conv_id`` (``ops.util.coarse_apply``) guarantees; order is then
+recovered INSIDE each bucket with a vectorized sort. No raw actors, no
+global sort and no driver-side batch feed (driver iteration caps ~50k
+rows/s).
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
-import pyarrow as pa
 
 
-def first_tool_turn_flags(sf_dir: str, n_buckets: int = 64, src: str | None = None):
+def first_tool_turn_flags(sf_dir: str, src: str | None = None):
     """For every turn: had this conversation already produced a tool
     turn strictly before it (by ts)?
 
-    Dataset-native (tier a): hash-bucket shuffle on conv_id (coarse —
-    one vectorized pandas call per bucket, no per-conversation Python),
-    then within each bucket sort by (conv_id, ts, turn_idx) and count
-    prior tool turns per conversation with an exclusive cumulative sum;
-    ts ties are resolved strictly (a tool turn at the SAME ts does not
-    count) by taking the min of the exclusive count over each
-    (conv_id, ts) tie block. No global sort, no driver iteration.
+    Coarse keyed shuffle on conv_id (one vectorized pandas call per
+    bucket, no per-conversation Python), then within each bucket sort
+    by (conv_id, ts, turn_idx) and count prior tool turns per
+    conversation with an exclusive cumulative sum; ts ties are
+    resolved strictly (a tool turn at the SAME ts does not count) by
+    taking the min of the exclusive count over each (conv_id, ts) tie
+    block. No global sort, no driver iteration.
     """
     import ray.data
 
@@ -70,83 +61,4 @@ def first_tool_turn_flags(sf_dir: str, n_buckets: int = 64, src: str | None = No
     # (conv_id, turn_idx) sort was a data-sized all-to-all whose only
     # purpose was display order; r5 review): the driver compare is
     # order-insensitive and tests sort before positional compare.
-    return coarse_apply(ds, ["conv_id"], flags, n_buckets=n_buckets)
-
-
-def first_tool_turn_flags_actors(
-    sf_dir: str, n_buckets: int = 4, src: str | None = None
-):
-    """Tier (c) DEMO of the same query: one ``@ray.remote`` actor per
-    conv_id-hash bucket owns a mutable seen-tool index and observes its
-    conversations' turns in global ts order (the driver tails the
-    ts-sorted dataset and routes rows; Ray preserves per-caller,
-    per-actor submission order). Kept for the streaming-state pattern
-    — a deployment would tail a partitioned log instead of a driver
-    loop — NOT as the default path (driver iteration caps ~50k rows/s;
-    see module docstring). Parity with the Dataset-native default is
-    asserted in tests/test_ops.py."""
-    import ray
-    import ray.data
-
-    from ..transcripts import transcripts_for
-
-    @ray.remote
-    class BucketState:
-        """Owns the seen-tool state for its conversations, with the
-        SAME strict-ts tie semantics as the Dataset-native default
-        (ADVICE r2 fix): a tool turn at the SAME ts as the current row
-        must NOT count as 'seen before', so tool sightings are staged
-        per (conv, ts) and only committed once a later ts arrives for
-        that conversation. (The synthetic data has strictly increasing
-        per-conversation timestamps, so the parity test exercised the
-        easy case only — real data can carry ties.)"""
-
-        def __init__(self) -> None:
-            self.seen_tool: set[str] = set()
-            #: conv_id → ts of an uncommitted tool sighting
-            self.pending: dict[str, int] = {}
-
-        def process(self, table: pa.Table) -> pa.Table:
-            # rows arrive in (ts, conv_id, turn_idx) order per bucket
-            convs = table.column("conv_id").to_pylist()
-            roles = table.column("role").to_pylist()
-            tss = table.column("ts").to_pylist()
-            flags = np.empty(len(convs), dtype=bool)
-            for i, (c, r, t) in enumerate(zip(convs, roles, tss)):
-                p = self.pending.get(c)
-                if p is not None and p < t:
-                    self.seen_tool.add(c)
-                    del self.pending[c]
-                flags[i] = c in self.seen_tool
-                if r == "tool" and c not in self.seen_tool and c not in self.pending:
-                    self.pending[c] = t
-            return pa.table(
-                {
-                    "conv_id": table["conv_id"],
-                    "turn_idx": table["turn_idx"],
-                    "tool_seen_before": pa.array(flags),
-                }
-            )
-
-    src = src or transcripts_for(sf_dir)
-    ds = ray.data.read_parquet(src, columns=["conv_id", "turn_idx", "role", "ts"])
-    actors = [BucketState.remote() for _ in range(n_buckets)]
-    pending = []
-    for batch in ds.sort(["ts", "conv_id", "turn_idx"]).iter_batches(
-        batch_size=4096, batch_format="pandas"
-    ):
-        batch = batch.assign(
-            __bucket=pd.util.hash_array(batch["conv_id"].to_numpy()) % n_buckets
-        )
-        for bid, sub in batch.groupby("__bucket", sort=False):
-            # ts stays in the payload: the actor needs it for the
-            # strict same-ts tie handling
-            sub = sub.drop(columns=["__bucket"])
-            pending.append(
-                actors[int(bid)].process.remote(
-                    pa.Table.from_pandas(sub, preserve_index=False)
-                )
-            )
-    tables = ray.get(pending)
-    out = pa.concat_tables(tables)
-    return out.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
+    return coarse_apply(ds, ["conv_id"], flags, n_buckets=64)

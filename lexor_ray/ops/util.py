@@ -10,6 +10,10 @@ Scale-first conventions used across ``lexor_ray.ops``:
 - **Broadcast small sides**: dimension tables go through ``ray.put``
   once and are read inside each task; never a shuffle join for a
   small side.
+- **One keyed shuffle**: ``coarse_apply`` is the only place that tags
+  rows with a hash bucket and shuffles on it; ``coarse_dedup``,
+  ``bucketed_join`` and ``heavy_keys`` are its callers, so a shuffle
+  strategy or bucket-count change lands in one function.
 - **Stable rounding**: float aggregates are rounded identically in
   the Ray path and the DuckDB oracle SQL so value-hash comparison is
   deterministic across summation orders.
@@ -90,9 +94,9 @@ def bucketed_join(
 ):
     """TASK-BASED distributed hash join: attach ``right[value_col]``
     to each ``left`` row on ``left[key_col] == right[right_key]``
-    (inner). Both sides are tagged, unioned and hash-bucketed on the
-    join key, then resolved with one vectorized pandas ``merge`` per
-    bucket — this rides the proven task-based sort shuffle instead of
+    (inner). Both sides are tagged and unioned, then ``coarse_apply``
+    on the join key resolves each bucket with one vectorized pandas
+    ``merge`` — this rides the proven task-based sort shuffle instead of
     ``Dataset.join``'s aggregator ACTOR pool, which reserves CPU
     proportional to num_partitions and deadlocks chained joins on
     small CPU budgets (measured; CLAUDE.md actor-pool rule).
@@ -126,13 +130,6 @@ def bucketed_join(
         right.map_batches(tag_right, batch_format="pyarrow")
     )
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        k = batch.column("__key").to_numpy(zero_copy_only=False)
-        h = pd.util.hash_array(np.asarray(k))
-        return batch.append_column(
-            "__bucket", pa.array((h % n_buckets).astype("int32"))
-        )
-
     out_cols = [*carry, out_col]
 
     def _series(t) -> pd.Series:
@@ -148,7 +145,6 @@ def bucketed_join(
         return pd.DataFrame(data)
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__bucket")
         left_g = g[g["__side"] == 1]
         right_g = g[g["__side"] == 0]
         if len(left_g) == 0 or len(right_g) == 0:
@@ -168,8 +164,7 @@ def bucketed_join(
             res[out_col] = res[out_col].astype("int64")
         return res
 
-    b = tagged.map_batches(add_bucket, batch_format="pyarrow")
-    return b.groupby("__bucket").map_groups(resolve, batch_format="pandas")
+    return coarse_apply(tagged, ["__key"], resolve, n_buckets=n_buckets)
 
 
 def coarse_apply(ds, keys: list[str], fn, n_buckets: int = 256):
@@ -184,8 +179,9 @@ def coarse_apply(ds, keys: list[str], fn, n_buckets: int = 256):
     import pyarrow as pa
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        h = pd.util.hash_pandas_object(df[keys], index=False)
+        # hash only the key columns: converting the whole batch to
+        # pandas costs more than the hash itself on wide tables
+        h = pd.util.hash_pandas_object(batch.select(keys).to_pandas(), index=False)
         return batch.append_column(
             "__bucket", pa.array((h % n_buckets).astype("int32"))
         )
@@ -197,7 +193,7 @@ def coarse_apply(ds, keys: list[str], fn, n_buckets: int = 256):
     return bucketed.groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
 
 
-def heavy_keys(ds, key: str, threshold: int, n_buckets: int = 64):
+def heavy_keys(ds, key: str, threshold: int):
     """Distributed heavy-key pre-count (r3 verdict item 3): the keys
     whose GLOBAL row count is at least ``threshold``, as a tiny pandas
     frame ``(key, n)``. One column-pruned scan emits a per-batch
@@ -231,7 +227,7 @@ def heavy_keys(ds, key: str, threshold: int, n_buckets: int = 64):
         ds.map_batches(partial, batch_format="pyarrow"),
         [key],
         agg,
-        n_buckets=n_buckets,
+        n_buckets=64,
     ).to_pandas()
     if key not in out.columns:
         # all-empty buckets lose the schema (Ray drops empty blocks)
@@ -240,25 +236,11 @@ def heavy_keys(ds, key: str, threshold: int, n_buckets: int = 64):
     return out
 
 
-def coarse_dedup(ds, keys: list[str], n_buckets: int = 64):
-    """Distributed drop-duplicates on ``keys``: coarse hash-bucket
-    shuffle + vectorized ``drop_duplicates`` per bucket (no per-group
-    Python calls at all)."""
-    import pandas as pd
-    import pyarrow as pa
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        h = pd.util.hash_pandas_object(df[keys], index=False)
-        return batch.append_column(
-            "__bucket", pa.array((h % n_buckets).astype("int32"))
-        )
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop(columns="__bucket").drop_duplicates(keys)
-
-    bucketed = ds.map_batches(add_bucket, batch_format="pyarrow")
-    return bucketed.groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
+def coarse_dedup(ds, keys: list[str]):
+    """Distributed drop-duplicates on ``keys``: one ``coarse_apply``
+    with a vectorized ``drop_duplicates`` per bucket (every copy of a
+    key lands in one bucket)."""
+    return coarse_apply(ds, keys, lambda g: g.drop_duplicates(keys), n_buckets=64)
 
 
 def sql_source(table_or_path: str) -> str:

@@ -150,8 +150,8 @@ def test_quality_filter_thresholds(ray_session):
 
 
 def test_streaming_state_matches_batch_oracle(ray_session):
-    """Raw-actor incremental state == order-insensitive batch
-    recomputation of 'tool turn seen strictly before (by ts)'."""
+    """Keyed-shuffle flags == a row-loop recomputation of 'tool turn
+    seen before (by ts)' in global ts order."""
     import pyarrow.dataset as pads
 
     from lexor_ray.ops.streaming_state import first_tool_turn_flags
@@ -604,33 +604,15 @@ def test_simhash_skewed_megabucket_capped(ray_session):
     assert len(clique) >= n - 1001  # star covers the whole clique
 
 
-def test_first_tool_flags_native_vs_actor_parity(ray_session):
-    """Dataset-native default == raw-actor streaming demo."""
-    from lexor_ray.ops.streaming_state import (
-        first_tool_turn_flags,
-        first_tool_turn_flags_actors,
-    )
-
-    native = df(first_tool_turn_flags(SF)).sort_values(
-        ["conv_id", "turn_idx"]).reset_index(drop=True)
-    actor = first_tool_turn_flags_actors(SF).to_pandas().sort_values(
-        ["conv_id", "turn_idx"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(native, actor)
-
-
 def test_first_tool_flags_same_ts_tie_parity(ray_session, tmp_path):
     """STRICT same-ts semantics on data WITH timestamp ties: a tool
     turn at the same ts as another turn must not count as 'seen
-    before' it — on either path (ADVICE r2: the synthetic corpus has
-    strictly increasing per-conv timestamps, so the plain parity test
-    never exercised ties)."""
+    before' it (the synthetic corpus has strictly increasing per-conv
+    timestamps, so the row-loop oracle test never exercises ties)."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from lexor_ray.ops.streaming_state import (
-        first_tool_turn_flags,
-        first_tool_turn_flags_actors,
-    )
+    from lexor_ray.ops.streaming_state import first_tool_turn_flags
 
     t0 = 1_700_000_000_000_000
     tbl = pa.table(
@@ -653,17 +635,13 @@ def test_first_tool_flags_same_ts_tie_parity(ray_session, tmp_path):
 
     os.makedirs(src)
     pq.write_table(tbl, os.path.join(src, "t.parquet"))
-    native = df(first_tool_turn_flags("sf0.01", src=src)).sort_values(
-        ["conv_id", "turn_idx"]).reset_index(drop=True)
-    actor = first_tool_turn_flags_actors("sf0.01", src=src).to_pandas().sort_values(
-        ["conv_id", "turn_idx"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(native, actor)
+    flags = df(first_tool_turn_flags("sf0.01", src=src))
     want = {  # strict-ts expectations
         ("c1", 0): False, ("c1", 1): False, ("c1", 2): False, ("c1", 3): True,
         ("c2", 0): False, ("c2", 1): True, ("c2", 2): True,
     }
     got = dict(
-        zip(zip(native["conv_id"], native["turn_idx"]), native["tool_seen_before"])
+        zip(zip(flags["conv_id"], flags["turn_idx"]), flags["tool_seen_before"])
     )
     assert got == want
 
@@ -1155,3 +1133,123 @@ def test_neardup_jaccard_subset_matches_duckdb(ray_session):
         """
     ).df()
     pd.testing.assert_frame_equal(jac, want, check_dtype=False)
+
+
+def _dedup_input(n: int = 600) -> pd.DataFrame:
+    rng = np.random.default_rng(11)
+    k = rng.integers(0, 90, n).astype("int64")
+    return pd.DataFrame(
+        {"k": k, "s": [f"user-{x % 37}" for x in k], "v": rng.integers(0, 5, n)}
+    )
+
+
+@pytest.mark.parametrize("keys", [["k"], ["s"], ["s", "v"]])
+def test_coarse_dedup_matches_pandas(ray_session, keys):
+    import ray.data
+
+    from lexor_ray.ops.util import coarse_dedup
+
+    src = _dedup_input()
+    got = df(coarse_dedup(ray.data.from_pandas([src.iloc[i::4] for i in range(4)]), keys))
+    want = src.drop_duplicates(keys)
+    assert len(got) == len(want)
+    pd.testing.assert_frame_equal(
+        got[keys].sort_values(keys).reset_index(drop=True),
+        want[keys].sort_values(keys).reset_index(drop=True),
+        check_dtype=False,
+    )
+    # each kept row is a whole input row, not a mix of duplicates
+    assert len(got.merge(src.drop_duplicates(), on=list(src.columns))) == len(got)
+
+
+@pytest.mark.parametrize("as_str", [False, True], ids=["int64", "string"])
+def test_bucketed_join_matches_pandas_merge(ray_session, as_str):
+    """Inner-join semantics: duplicate keys on both sides multiply, a
+    key on only one side drops out. The right side holds two distinct
+    keys, so it reaches at most 2 of the 8 buckets and the 40 left keys
+    leave buckets with no right-side rows."""
+    import pyarrow as pa
+    import ray.data
+
+    from lexor_ray.ops.util import bucketed_join
+
+    def key(x):
+        return f"key-{x}" if as_str else x
+
+    left = pd.DataFrame(
+        {"k": [key(i % 40) for i in range(80)], "lv": np.arange(80, dtype="int64")}
+    )
+    # 3 twice (matches), 100 only on the right
+    right = pd.DataFrame({"rk": [key(3), key(3), key(100)], "rv": [7, 8, 9]})
+    if as_str:
+        right["rv"] = right["rv"].map(lambda v: f"v{v}")
+    key_type = pa.string() if as_str else pa.int64()
+    got = df(
+        bucketed_join(
+            ray.data.from_pandas([left.iloc[i::3] for i in range(3)]),
+            ray.data.from_pandas(right),
+            key_col="k",
+            right_key="rk",
+            value_col="rv",
+            out_col="rv",
+            carry={"k": key_type, "lv": pa.int64()},
+            value_type=pa.string() if as_str else pa.int64(),
+            n_buckets=8,
+        )
+    )
+    want = left.merge(right.rename(columns={"rk": "k"}), on="k", how="inner")
+    assert len(want) == 4  # two left rows × two right rows on key 3
+    cols = ["k", "lv", "rv"]
+    pd.testing.assert_frame_equal(
+        got[cols].sort_values(cols).reset_index(drop=True),
+        want[cols].sort_values(cols).reset_index(drop=True),
+    )
+
+
+def test_customer_nation_revenue_matches_oracle(ray_session):
+    import pathlib
+    import sys
+
+    import duckdb
+
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+    import __ray_entry__ as entry
+
+    from lexor_ray.ops.relational import customer_nation_revenue
+
+    sf = "/root/testdata/sf0.01"
+    con = duckdb.connect()
+    for t in ("orders", "customer", "nation"):
+        con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf}/{t}.parquet')")
+    want = con.sql(entry.oracle_sql()["customer_nation_revenue"]).df()
+    got = df(customer_nation_revenue(sf)).sort_values("n_name").reset_index(drop=True)
+    for t in (got, want):
+        t["total_revenue"] = np.floor(t["total_revenue"] * 100) / 100
+    assert len(want) == 25
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+def test_one_keyed_shuffle_in_package():
+    """The bucket tag and its hash appear in one function only,
+    ``ops/util.coarse_apply``: every keyed shuffle goes through it."""
+    import ast
+    import pathlib
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "lexor_ray"
+    hits: dict[str, set] = {'"__bucket"': set(), "hash_pandas_object": set()}
+    for path in sorted(pkg.rglob("*.py")):
+        src = path.read_text()
+        spans = [
+            (node.lineno, node.end_lineno, node.name)
+            for node in ast.parse(src).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        ]
+        for lineno, line in enumerate(src.splitlines(), 1):
+            for pat in hits:
+                if pat in line:
+                    owner = next(
+                        (n for a, b, n in spans if a <= lineno <= b), "<module>"
+                    )
+                    hits[pat].add(f"{path.relative_to(pkg)}:{owner}")
+    want = {"ops/util.py:coarse_apply"}
+    assert hits == {'"__bucket"': want, "hash_pandas_object": want}
