@@ -61,8 +61,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
     integer signal, every float score, the filter verdict),
     lsh/ivf_ann_topk → ann_recall (now oracle-gated),
     media_features/frame_sample/resize_media → media_pipeline,
-    turns_per_conversation → conversation_stats_salted (identical
-    output + SQL; the plain variant stays tested in pytest),
+    conversation_stats_salted runs turns_per_conversation (name and
+    SQL kept; no salting pass is needed, because a per-batch partial
+    already bounds a hot conversation to one row per batch),
     lang_distribution ⊂ lang_id ⊂ doc_signals (lang_id +
     repetition_signals fused into one per-doc scan since r3 to make
     room for the model-based entries; nb_quality_scores+lm_perplexity
@@ -114,7 +115,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # extract → redact chain (SQL-checked: identical regexp_replace
         # chain over the generation-time golden text)
         "pii_scrub": pii.pii_scrub,
-        "conversation_stats_salted": transcripts_ops.conversation_stats_salted,
+        "conversation_stats_salted": transcripts_ops.turns_per_conversation,
         "first_tool_turn_flags": _first_tool_flags,
         # transcripts relational (SQL-checked)
         "role_distribution": transcripts_ops.role_distribution,

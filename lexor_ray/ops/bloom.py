@@ -24,9 +24,9 @@ DuckDB (tests/test_bloom.py) —
 Scale shape (100 TB):
 
 - the old-snapshot pass emits per-batch DISTINCT positions only (≤
-  k·rows, deduped again by a tiny groupby) — the collected state is
-  bounded by ``m`` bits regardless of corpus size, and the filter is
-  mergeable (union of positions) across snapshots/shards;
+  k·rows, deduped again by one ``coarse_dedup``) — the collected
+  state is bounded by ``m`` bits regardless of corpus size, and the
+  filter is mergeable (union of positions) across snapshots/shards;
 - the driver packs the positions into an ``m/8``-byte bitmap once,
   ships it via ``ray.put``, and every worker reads it through the
   worker cache;
@@ -47,7 +47,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .sampling import splitmix64
-from .util import splitmix64_sql, sql_source as _src, tbl
+from .util import coarse_dedup, splitmix64_sql, sql_source as _src, tbl
 
 #: splitmix64 gamma (public constant) — stepping the seed by it makes
 #: positions j = 0..k-1 the first k outputs of the splitmix stream.
@@ -94,8 +94,8 @@ def _positions(h: np.ndarray, m: int, k: int) -> np.ndarray:
 
 def build_bloom_positions(sf_dir: str, m: int, k: int):
     """Distinct set bit positions of the prior snapshot (doc_id even)
-    as a Dataset — per-batch dedup first, then one tiny groupby, so
-    the shuffle carries at most min(k·rows, m) rows."""
+    as a Dataset — per-batch dedup first, then one ``coarse_dedup``,
+    so the shuffle carries at most min(k·rows, m) rows per batch."""
     ds = tbl(sf_dir, "documents", columns=["doc_id", "text"])
 
     def batch_positions(batch: pd.DataFrame) -> pa.Table:
@@ -105,12 +105,10 @@ def build_bloom_positions(sf_dir: str, m: int, k: int):
         pos = _positions(_batch_text_hash(old["text"]), m, k)
         return pa.table({"pos": pa.array(np.unique(pos), type=pa.uint64())})
 
-    # keyed-groupby dedup (Dataset.unique trips over uint64 numpy
+    # keyed-shuffle dedup (Dataset.unique trips over uint64 numpy
     # scalars in its set accumulator); output is ≤ m rows
-    return (
-        ds.map_batches(batch_positions, batch_format="pandas")
-        .groupby("pos")
-        .count()
+    return coarse_dedup(
+        ds.map_batches(batch_positions, batch_format="pandas"), ["pos"]
     )
 
 

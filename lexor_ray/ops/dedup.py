@@ -3,7 +3,8 @@
 Five dedup families a training-data pipeline needs, each expressed
 Ray-Data-first:
 
-- exact: content hash → hash-partitioned groupby → first per group
+- exact: content hash → one keyed fold (``fold_keyed``) → min doc_id
+  and copy count per hash
 - MinHash + LSH: shingle → minhash signature → band → bucket groupby
   → candidate pairs → exact-Jaccard verify
 - SimHash: 64-bit signature, Hamming-distance candidates via 4-band
@@ -40,22 +41,24 @@ def _hash64(texts: list[str]) -> np.ndarray:
 
 def exact_dedup(sf_dir: str):
     """Exact dedup: 64-bit content hash in ``map_batches`` (so the
-    shuffle key is 8 bytes, not the document), hash groupby, keep the
-    min doc_id as representative + the copy count."""
+    shuffle key is 8 bytes, not the document), one keyed fold on the
+    hash keeping the min doc_id as representative + the copy count."""
+    from .util import fold_keyed
+
     ds = tbl(sf_dir, "documents", columns=["doc_id", "text"])
 
     def add_hash(batch: pa.Table) -> pa.Table:
         h = _hash64(batch.column("text").to_pylist())
         return pa.table(
-            {"doc_id": batch["doc_id"], "h": pa.array(h, type=pa.uint64())}
+            {
+                "h": pa.array(h, type=pa.uint64()),
+                "doc_id": batch["doc_id"],
+                "n_copies": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
+            }
         )
 
-    from ray.data.aggregate import Count, Min
-
-    out = (
-        ds.map_batches(add_hash, batch_format="pyarrow")
-        .groupby("h")
-        .aggregate(Min("doc_id", alias_name="doc_id"), Count(alias_name="n_copies"))
+    out = fold_keyed(
+        ds.map_batches(add_hash, batch_format="pyarrow"), ["h"], aggs={"doc_id": "min"}
     )
     return out.drop_columns(["h"])
 
@@ -876,16 +879,14 @@ def minhash_dedup(sf_dir: str, threshold: float = 0.8, small_limit=None):
 
 def dedup_clusters(sf_dir: str, threshold: float = 0.8, max_rounds: int = 10):
     """Near-duplicate clusters: connected components over the verified
-    MinHash pair graph via iterative min-label propagation.
+    MinHash pair graph.
 
-    Each round: broadcast the current (node → label) map (it covers
-    only nodes that appear in some near-dup pair — a small fraction of
-    the corpus by construction of LSH+verify), recompute per-edge
-    label minima in ``map_batches``, reduce with a per-node groupby
-    min, stop when labels are stable. ``max_rounds`` bounds the
-    longest chain; the guide's alternative (driver union-find) is
-    valid exactly because this node set is small — the broadcast
-    variant keeps the reduction distributed anyway.
+    Up to ``_SMALL_PAIR_LIMIT`` pairs, in-process union-find over the
+    collected pair list (:func:`cluster_pairs`): the pairs cover only
+    nodes that appear in some near-dup pair — a small fraction of the
+    corpus by construction of LSH+verify. Above it, Dataset-native
+    min-label propagation (:func:`cluster_pairs_distributed`), whose
+    rounds ``max_rounds`` bounds.
 
     The only driver-side collection is the VERIFIED near-dup pair list
     (small by LSH+threshold construction) — the candidate and verify
@@ -896,22 +897,22 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.8, max_rounds: int = 10):
     """
     pairs = minhash_dedup(sf_dir, threshold=threshold)
     if isinstance(pairs, pa.Table):  # typed-empty fast path
-        return cluster_pairs(pairs.to_pandas(), max_rounds=max_rounds)
+        return cluster_pairs(pairs.to_pandas())
     pairs = pairs.materialize()
     if pairs.count() > _SMALL_PAIR_LIMIT:
         # measured-large: fully distributed components, no driver map
         # (max_rounds forwarded — r4 review: it was silently dropped
         # on exactly the tier where rounds are most expensive)
         return cluster_pairs_distributed(pairs, max_rounds=max_rounds)
-    return cluster_pairs(pairs.to_pandas(), max_rounds=max_rounds)
+    return cluster_pairs(pairs.to_pandas())
 
 
 def cluster_pairs_distributed(edges, max_rounds: int = 30, n_buckets: int = 64):
     """Connected components with NO driver-held state — the 100-TB
-    tier of :func:`cluster_pairs` (the round-1 verdict flagged the
-    broadcast label map: at Common-Crawl dup rates the near-dup node
-    set is a large fraction of the corpus). ``edges`` is a Dataset
-    with (a, b) columns.
+    tier of :func:`cluster_pairs`, whose union-find holds every node
+    in one process: at Common-Crawl dup rates the near-dup node set is
+    a large fraction of the corpus. ``edges`` is a Dataset with (a, b)
+    columns.
 
     Min-label propagation where the labels live in a Dataset and every
     step is a bucketed hash join (``ops.util.bucketed_join``):
@@ -928,9 +929,7 @@ def cluster_pairs_distributed(edges, max_rounds: int = 30, n_buckets: int = 64):
 
     Returns a Dataset (doc_id, cluster_id), cluster_id = component min.
     """
-    from ray.data.aggregate import Min
-
-    from .util import bucketed_join, coarse_dedup
+    from .util import bucketed_join, coarse_dedup, fold_keyed
 
     def sym(batch: pa.Table) -> pa.Table:
         a = batch.column("a").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -957,16 +956,14 @@ def cluster_pairs_distributed(edges, max_rounds: int = 30, n_buckets: int = 64):
     )
 
     def _min_labels(ds):
-        # normalize block type before the groupby sort: a union can mix
-        # pandas blocks (map_groups outputs) with arrow blocks, which
-        # trips the sort sampler's single-block-type assertion. The
-        # repartition caps block count — union + aggregate otherwise
-        # DOUBLE the label dataset's block count every round (measured:
-        # 3 → 7 → 15 → 31 blocks and exponentially slowing executions).
+        # the union may mix pandas blocks (map_groups outputs) with
+        # arrow blocks; coarse_apply's bucket-tag pass rewrites every
+        # block as arrow before its sort. The repartition caps block
+        # count — union + fold otherwise DOUBLE the label dataset's
+        # block count every round (measured: 3 → 7 → 15 → 31 blocks
+        # and exponentially slowing executions).
         return (
-            ds.map_batches(lambda b: b, batch_format="pyarrow")
-            .groupby("node")
-            .aggregate(Min("label", alias_name="label"))
+            fold_keyed(ds, ["node"], aggs={"label": "min"})
             .repartition(n_buckets)
             .materialize()
         )
@@ -1036,82 +1033,32 @@ def cluster_pairs_distributed(edges, max_rounds: int = 30, n_buckets: int = 64):
     )
 
 
-def cluster_pairs(pdf: pd.DataFrame, max_rounds: int = 10) -> pa.Table:
+def cluster_pairs(pdf: pd.DataFrame) -> pa.Table:
     """Connected components over an (a, b) pair DataFrame — the
-    engine behind :func:`dedup_clusters`, separated for testability."""
-    import ray
+    engine behind :func:`dedup_clusters`, separated for testability.
+    In-process union-find straight over the pair list (the caller
+    already holds it, small by LSH+verify construction); each root is
+    its component's min doc_id, so ``cluster_id`` = component min."""
+    parent: dict[int, int] = {}
 
-    if len(pdf) == 0:
-        return pa.table(
-            {
-                "doc_id": pa.array([], type=pa.int64()),
-                "cluster_id": pa.array([], type=pa.int64()),
-            }
-        )
-    import ray.data
+    def find(x: int) -> int:
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    edges = ray.data.from_pandas(
-        pd.concat(
-            [
-                pdf[["a", "b"]].rename(columns={"a": "src", "b": "dst"}),
-                pdf[["a", "b"]].rename(columns={"b": "src", "a": "dst"}),
-            ],
-            ignore_index=True,
-        )
+    for a, b in zip(pdf["a"].tolist(), pdf["b"].tolist()):
+        ra, rb = find(int(a)), find(int(b))
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    nodes = sorted(parent)
+    return pa.table(
+        {
+            "doc_id": pa.array(nodes, type=pa.int64()),
+            "cluster_id": pa.array([find(n) for n in nodes], type=pa.int64()),
+        }
     )
-    nodes = np.unique(np.concatenate([pdf["a"].to_numpy(), pdf["b"].to_numpy()]))
-    labels = {int(n): int(n) for n in nodes}
-    converged = False
-    for _ in range(max_rounds):
-        lab_ref = ray.put(labels)
-
-        def relabel(batch: pd.DataFrame) -> pd.DataFrame:
-            lab = ray.get(lab_ref)
-            cand = np.minimum(
-                batch["src"].map(lab).to_numpy(), batch["dst"].map(lab).to_numpy()
-            )
-            return pd.DataFrame({"node": batch["dst"], "label": cand})
-
-        from ray.data.aggregate import Min
-
-        new = (
-            edges.map_batches(relabel, batch_format="pandas")
-            .groupby("node")
-            .aggregate(Min("label", alias_name="label"))
-            .to_pandas()
-        )
-        new_labels = dict(labels)
-        for n, l in zip(new["node"], new["label"]):
-            if l < new_labels[int(n)]:
-                new_labels[int(n)] = int(l)
-        if new_labels == labels:
-            converged = True
-            break
-        labels = new_labels
-    if not converged:
-        # a component with diameter > max_rounds did not finish — the
-        # node set is small by LSH construction, so finish exactly with
-        # driver-side union-find over the pair list (guide fallback)
-        parent = dict(labels)
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in zip(pdf["a"], pdf["b"]):
-            ra, rb = find(int(a)), find(int(b))
-            if ra != rb:
-                if ra < rb:
-                    parent[rb] = ra
-                else:
-                    parent[ra] = rb
-        labels = {n: find(n) for n in parent}
-    out = pd.DataFrame(
-        {"doc_id": list(labels.keys()), "cluster_id": list(labels.values())}
-    ).sort_values("doc_id")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 # ---------------------------------------------------------------------------

@@ -146,9 +146,10 @@ def q3_top_revenue_orders(sf_dir: str, segment: str = "BUILDING", k: int = 10):
     """TPC-H Q3 shape. Customer is the small side → broadcast its
     filtered key set via ``ray.put`` (semi-join, no shuffle). Orders ⋈
     lineitem is large ⋈ large → partial-aggregate lineitem revenue per
-    orderkey first (shrinks the probe side to one row per order), then
-    the task-based ``bucketed_join`` (``Dataset.join``'s actor pool
-    starves small CPU budgets — see the inline note below)."""
+    orderkey per batch, fold the partials per order (``fold_keyed``:
+    the probe side shrinks to one row per order), then the task-based
+    ``bucketed_join`` (``Dataset.join``'s actor pool starves small CPU
+    budgets — see the inline note below)."""
     import ray
 
     def segment_keys(batch: pa.Table) -> pa.Table:
@@ -177,17 +178,19 @@ def q3_top_revenue_orders(sf_dir: str, segment: str = "BUILDING", k: int = 10):
         revenue = pc.multiply(
             batch["l_extendedprice"], pc.subtract(pa.scalar(1.0), batch["l_discount"])
         )
-        batch = batch.append_column("revenue", revenue)
-        return batch.group_by(["l_orderkey"]).aggregate([("revenue", "sum")])
+        t = pa.table({"l_orderkey": batch["l_orderkey"], "revenue": revenue})
+        agg = t.group_by(["l_orderkey"]).aggregate([("revenue", "sum")])
+        return pa.table(
+            {"l_orderkey": agg["l_orderkey"], "revenue": agg["revenue_sum"]}
+        )
 
     li = tbl(
         sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount"]
     )
     parts = li.map_batches(partial, batch_format="pyarrow")
-    from ray.data.aggregate import Sum
+    from .util import bucketed_join, fold_keyed
 
-    rev = parts.groupby("l_orderkey").aggregate(Sum("revenue_sum", alias_name="revenue"))
-    rev = rev.map_batches(
+    rev = fold_keyed(parts, ["l_orderkey"]).map_batches(
         lambda b: b.set_column(
             b.schema.get_field_index("revenue"),
             "revenue",
@@ -201,8 +204,6 @@ def q3_top_revenue_orders(sf_dir: str, segment: str = "BUILDING", k: int = 10):
     # CPU budgets — measured 59 s vs ~2 s for this query at sf0.01 on
     # 8 cpus (CLAUDE.md actor-pool rule; the chained-join deadlock is
     # the extreme case of the same reservation behavior)
-    from .util import bucketed_join
-
     joined = bucketed_join(
         rev,
         orders,

@@ -801,10 +801,10 @@ def doc_signals(sf_dir: str):
 def doc_length_quantiles(sf_dir: str, qs=(0.25, 0.5, 0.75, 0.9, 0.99)):
     """Exact discrete length quantiles over the corpus via a
     distributed value-counts histogram: per-batch grouped count on
-    n_chars → tiny global groupby → driver-side cumulative walk. The
-    collected state is one row per DISTINCT document length (bounded
-    by the max length, not the corpus), so the pattern holds at any
-    scale. Rank convention matches DuckDB ``quantile_disc``:
+    n_chars → one keyed fold (``fold_keyed``) → cumulative walk in the
+    calling process. The collected state is one row per DISTINCT
+    document length (bounded by the max length, not the corpus), so
+    the pattern holds at any scale. Rank convention matches DuckDB ``quantile_disc``:
     0-indexed ``floor((n-1)·q)`` over the sorted values."""
     ds = tbl(sf_dir, "documents", columns=["text"])
 
@@ -821,17 +821,15 @@ def doc_length_quantiles(sf_dir: str, qs=(0.25, 0.5, 0.75, 0.9, 0.99)):
         )
         return t.group_by(["n"]).aggregate([("n", "count")])
 
-    from ray.data.aggregate import Sum
+    from .util import fold_keyed
 
     counts = (
-        ds.map_batches(hist, batch_format="pyarrow")
-        .groupby("n")
-        .aggregate(Sum("n_count", alias_name="c"))
+        fold_keyed(ds.map_batches(hist, batch_format="pyarrow"), ["n"])
         .to_pandas()
         .sort_values("n")
     )
-    total = int(counts["c"].sum())
-    cum = counts["c"].cumsum().to_numpy()
+    total = int(counts["n_count"].sum())
+    cum = counts["n_count"].cumsum().to_numpy()
     lens = counts["n"].to_numpy()
     out_q, out_v = [], []
     for q in qs:

@@ -139,19 +139,6 @@ def extraction_log_summary(sf_dir: str):
     )
 
 
-def conversation_stats_salted(sf_dir: str):
-    """Same result as :func:`turns_per_conversation` but via the
-    salted-hot-key two-pass of ``pipeline.conversation_stats`` — the
-    skew-safe path; oracle-checked against the same SQL."""
-    import ray.data
-
-    from ..pipeline import conversation_stats
-
-    src = transcripts_for(sf_dir)
-    ds = ray.data.read_parquet(src, columns=["conv_id", "turn_idx", "text"])
-    return conversation_stats(ds)
-
-
 class MarkdownBatch:
     """Actor-pool stage for the html→markdown style (NodeWriter
     machinery end-to-end over the transcripts table)."""
@@ -254,9 +241,12 @@ def validate_extraction(sf_dir: str):
 
 def turns_per_conversation(sf_dir: str):
     """SQL-checkable relational shape over transcripts: per-conv turn
-    count + total text length (partial agg per batch → small
-    groupby)."""
+    count + total text length (partial agg per batch → one keyed
+    fold). Hot conversations need no salting: a conversation reaches
+    the shuffle as at most one partial row per input batch."""
     import ray.data
+
+    from .util import fold_keyed
 
     src = transcripts_for(sf_dir)
     ds = ray.data.read_parquet(src, columns=["conv_id", "text"])
@@ -265,24 +255,28 @@ def turns_per_conversation(sf_dir: str):
         t = pa.table(
             {
                 "conv_id": batch["conv_id"],
-                "n_chars": pc.cast(pc.utf8_length(batch["text"]), pa.int64()),
+                # fill_null so the count keeps EVERY turn — a null
+                # text row otherwise vanishes from n_turns while the
+                # oracle's count(*) keeps it
+                "n_chars": pc.cast(
+                    pc.utf8_length(pc.fill_null(batch["text"], "")), pa.int64()
+                ),
             }
         )
-        return t.group_by(["conv_id"]).aggregate(
+        agg = t.group_by(["conv_id"]).aggregate(
             [("n_chars", "sum"), ("n_chars", "count")]
         )
-
-    from ray.data.aggregate import Sum
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("conv_id")
-        .aggregate(
-            Sum("n_chars_sum", alias_name="total_chars"),
-            Sum("n_chars_count", alias_name="n_turns"),
+        return pa.table(
+            {
+                "conv_id": agg["conv_id"],
+                "total_chars": agg["n_chars_sum"],
+                "n_turns": agg["n_chars_count"],
+            }
         )
-        .sort("conv_id")
-    )
+
+    return fold_keyed(
+        ds.map_batches(partial, batch_format="pyarrow"), ["conv_id"]
+    ).sort("conv_id")
 
 
 def role_distribution(sf_dir: str):
@@ -311,19 +305,16 @@ def exact_dedup_turns(sf_dir: str):
     SQL-checkable either way."""
     import ray.data
 
+    from .util import fold_keyed
+
     src = transcripts_for(sf_dir)
     ds = ray.data.read_parquet(src, columns=["conv_id", "turn_idx"])
+    keys = ["conv_id", "turn_idx"]
 
     def partial(batch: pa.Table) -> pa.Table:
-        return batch.group_by(["conv_id", "turn_idx"]).aggregate(
-            [("turn_idx", "count")]
+        agg = batch.group_by(keys).aggregate([("turn_idx", "count")])
+        return pa.table(
+            {k: agg[k] for k in keys} | {"n_copies": agg["turn_idx_count"]}
         )
 
-    from ray.data.aggregate import Sum
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["conv_id", "turn_idx"])
-        .aggregate(Sum("turn_idx_count", alias_name="n_copies"))
-        .sort(["conv_id", "turn_idx"])
-    )
+    return fold_keyed(ds.map_batches(partial, batch_format="pyarrow"), keys).sort(keys)

@@ -12,8 +12,14 @@ Scale-first conventions used across ``lexor_ray.ops``:
   small side.
 - **One keyed shuffle**: ``coarse_apply`` is the only place that tags
   rows with a hash bucket and shuffles on it; ``coarse_dedup``,
-  ``bucketed_join`` and ``heavy_keys`` are its callers, so a shuffle
-  strategy or bucket-count change lands in one function.
+  ``bucketed_join``, ``heavy_keys`` and ``fold_keyed`` are its
+  callers, so a shuffle strategy or bucket-count change lands in one
+  function.
+- **Two keyed folds, no Ray aggregate**: Sum/Min/Max per key go
+  through ``fold_bounded`` when the key domain is small and
+  data-independent, and through ``fold_keyed`` (one ``coarse_apply``)
+  when it is not. Ray's sort-based ``groupby().aggregate`` is not
+  used anywhere in the package.
 - **Stable rounding**: float aggregates are rounded identically in
   the Ray path and the DuckDB oracle SQL so value-hash comparison is
   deterministic across summation orders.
@@ -106,13 +112,17 @@ def bucketed_join(
     string."""
     import pandas as pd
     import pyarrow as pa
+    import pyarrow.compute as pc
 
     if value_type is None:
         value_type = pa.string()
     carry_items = list(carry.items())
 
+    # both sides cast to the declared types: a union of blocks whose
+    # schemas differ (an int32 source column against value_type=int64)
+    # is what Ray warns about as "a different schema"
     def tag_left(batch: pa.Table) -> pa.Table:
-        cols = {c: batch[c] for c, _ in carry_items}
+        cols = {c: pc.cast(batch[c], t) for c, t in carry_items}
         cols["__key"] = batch[key_col]
         cols["__value"] = pa.nulls(batch.num_rows, type=value_type)
         cols["__side"] = pa.array(np.ones(batch.num_rows, dtype=np.int8))
@@ -122,7 +132,7 @@ def bucketed_join(
         n = batch.num_rows
         cols = {c: pa.nulls(n, type=t) for c, t in carry_items}
         cols["__key"] = batch[right_key]
-        cols["__value"] = batch[value_col]
+        cols["__value"] = pc.cast(batch[value_col], value_type)
         cols["__side"] = pa.array(np.zeros(n, dtype=np.int8))
         return pa.table(cols)
 
@@ -241,6 +251,28 @@ def coarse_dedup(ds, keys: list[str]):
     with a vectorized ``drop_duplicates`` per bucket (every copy of a
     key lands in one bucket)."""
     return coarse_apply(ds, keys, lambda g: g.drop_duplicates(keys), n_buckets=64)
+
+
+def fold_keyed(parts, keys: list[str], aggs: dict | None = None):
+    """Keyed fold for UNBOUNDED key domains (order keys, content
+    hashes, conversations) — the twin of :func:`fold_bounded`, with
+    the same ``aggs`` contract: every non-key column is folded with
+    ``"sum"`` unless ``aggs`` names ``"min"`` or ``"max"`` for it, and
+    value columns keep their names. One ``coarse_apply`` shuffle with
+    ONE vectorized pandas ``groupby(keys).agg`` per bucket (every row
+    of a key lands in one bucket, so the fold is exact). Null keys
+    form their own group, as in SQL ``GROUP BY``.
+
+    Feed it per-batch partials (one row per key per batch) — the
+    shuffle then moves at most one row per (key, batch). Output is
+    unordered; an all-empty input yields a schemaless dataset (Ray
+    drops empty blocks before the per-bucket call)."""
+
+    def fold(g):
+        kind = {c: (aggs or {}).get(c, "sum") for c in g.columns if c not in keys}
+        return g.groupby(keys, sort=False, dropna=False).agg(kind).reset_index()
+
+    return coarse_apply(parts, keys, fold, n_buckets=64)
 
 
 def sql_source(table_or_path: str) -> str:

@@ -259,56 +259,6 @@ def stable_order(ds):
     return ds.sort(["conv_id", "turn_idx"])
 
 
-def conversation_stats(ds, salt_buckets: int = 8):
-    """Per-conversation roll-up (n_turns, total_chars) with **salted
-    keys**: pass 1 groups by ``(conv_id, salt)`` so a pathological
-    conversation with millions of turns spreads over ``salt_buckets``
-    reducers; pass 2 merges the tiny salted partials per conv_id
-    (SURVEY.md §4.3 hot-key design — ordering-free because the
-    aggregate is associative)."""
-    import pyarrow.compute as pc
-
-    def partial(batch: pa.Table) -> pa.Table:
-        salt = pc.cast(
-            pc.bit_wise_and(batch["turn_idx"], salt_buckets - 1), pa.int32()
-        )
-        t = pa.table(
-            {
-                "conv_id": batch["conv_id"],
-                "salt": salt,
-                # fill_null so ("n_chars", "count") counts EVERY turn —
-                # a null text row otherwise vanishes from n_turns while
-                # the oracle's count(*) keeps it (r5 review)
-                "n_chars": pc.cast(
-                    pc.utf8_length(pc.fill_null(batch["text"], "")),
-                    pa.int64(),
-                ),
-            }
-        )
-        return t.group_by(["conv_id", "salt"]).aggregate(
-            [("n_chars", "sum"), ("n_chars", "count")]
-        )
-
-    from ray.data.aggregate import Sum
-
-    salted = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["conv_id", "salt"])
-        .aggregate(
-            Sum("n_chars_sum", alias_name="chars"),
-            Sum("n_chars_count", alias_name="turns"),
-        )
-    )
-    return (
-        salted.groupby("conv_id")
-        .aggregate(
-            Sum("chars", alias_name="total_chars"),
-            Sum("turns", alias_name="n_turns"),
-        )
-        .sort("conv_id")
-    )
-
-
 # ---------------------------------------------------------------------------
 # Resumable chunked run with lineage manifest (north rule: "resumable
 # from checkpoint with per-partition lineage + metrics")

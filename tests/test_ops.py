@@ -1,5 +1,7 @@
 """Operator tests at sf0.001 — each family smoke + a semantic check."""
 
+import pathlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -66,12 +68,12 @@ def test_dedup_clusters_invariants(ray_session):
 
 
 def test_cluster_pairs_long_chain_union_find_fallback(ray_session):
-    """A chain whose diameter exceeds max_rounds must still converge
-    exactly via the union-find fallback."""
+    """A long chain converges exactly to one component under
+    union-find."""
     from lexor_ray.ops.dedup import cluster_pairs
 
     chain = pd.DataFrame({"a": list(range(0, 14)), "b": list(range(1, 15))})
-    out = cluster_pairs(chain, max_rounds=3).to_pandas()
+    out = cluster_pairs(chain).to_pandas()
     assert set(out["cluster_id"]) == {0}
     assert len(out) == 15
 
@@ -680,8 +682,8 @@ def test_tfidf_join_tier_matches_broadcast_tier(ray_session):
 
 def test_cluster_pairs_distributed_matches_driver(ray_session):
     """Dataset-native connected components (pointer-doubling label
-    propagation, no driver-held label map) == the driver union-find
-    path, on a long chain plus disjoint components."""
+    propagation, no label map held in one process) == plain union-find
+    (``cluster_pairs``), on a long chain plus disjoint components."""
     import ray.data
 
     from lexor_ray.ops.dedup import cluster_pairs, cluster_pairs_distributed
@@ -693,9 +695,12 @@ def test_cluster_pairs_distributed_matches_driver(ray_session):
         }
     )
     want = cluster_pairs(edges).to_pandas().reset_index(drop=True)
+    # the distributed tier returns an unordered Dataset (README
+    # ordering contract): sort before the positional compare
     got = (
         cluster_pairs_distributed(ray.data.from_pandas(edges), n_buckets=8)
         .to_pandas()
+        .sort_values("doc_id")
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(got, want)
@@ -1206,7 +1211,57 @@ def test_bucketed_join_matches_pandas_merge(ray_session, as_str):
     )
 
 
-def test_customer_nation_revenue_matches_oracle(ray_session):
+def test_bucketed_join_casts_to_declared_types(ray_session):
+    """An int32 right value column under ``value_type=int64`` and an
+    int32 carried left column declared int64 reach the union with ONE
+    schema: Ray logs no "different schema" warning."""
+    import logging
+
+    import pyarrow as pa
+    import ray.data
+
+    from lexor_ray.ops.util import bucketed_join
+
+    left = pa.table(
+        {"k": pa.array(range(20), pa.int64()), "lv": pa.array(range(20), pa.int32())}
+    )
+    right = pa.table(
+        {"rk": pa.array([3, 5, 99], pa.int64()), "rv": pa.array([7, 8, 9], pa.int32())}
+    )
+    seen: list[str] = []
+
+    class Grab(logging.Handler):
+        def emit(self, record):
+            seen.append(record.getMessage())
+
+    log = logging.getLogger("ray.data._internal.execution.streaming_executor_state")
+    grab = Grab(level=logging.WARNING)
+    log.addHandler(grab)
+    try:
+        got = bucketed_join(
+            ray.data.from_arrow([left.slice(0, 10), left.slice(10)]),
+            ray.data.from_arrow(right),
+            key_col="k",
+            right_key="rk",
+            value_col="rv",
+            out_col="rv",
+            carry={"k": pa.int64(), "lv": pa.int64()},
+            value_type=pa.int64(),
+            n_buckets=4,
+        ).to_pandas()
+    finally:
+        log.removeHandler(grab)
+    assert not [m for m in seen if "different schema" in m], seen
+    got = got.sort_values("k")[["k", "lv", "rv"]]
+    assert got.values.tolist() == [[3, 3, 7], [5, 5, 8]]
+
+
+SF001 = str(pathlib.Path(SF).parent / "sf0.01")
+
+
+def _sf001_oracle(name: str, tables: tuple) -> pd.DataFrame:
+    """``__ray_entry__.oracle_sql()[name]`` over views of the sf0.01
+    tables it reads."""
     import pathlib
     import sys
 
@@ -1215,30 +1270,129 @@ def test_customer_nation_revenue_matches_oracle(ray_session):
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
     import __ray_entry__ as entry
 
+    con = duckdb.connect()
+    for t in tables:
+        con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF001}/{t}.parquet')")
+    return con.sql(entry.oracle_sql()[name]).df()
+
+
+def test_customer_nation_revenue_matches_oracle(ray_session):
     from lexor_ray.ops.relational import customer_nation_revenue
 
-    sf = "/root/testdata/sf0.01"
-    con = duckdb.connect()
-    for t in ("orders", "customer", "nation"):
-        con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf}/{t}.parquet')")
-    want = con.sql(entry.oracle_sql()["customer_nation_revenue"]).df()
-    got = df(customer_nation_revenue(sf)).sort_values("n_name").reset_index(drop=True)
+    want = _sf001_oracle("customer_nation_revenue", ("orders", "customer", "nation"))
+    got = (
+        df(customer_nation_revenue(SF001)).sort_values("n_name").reset_index(drop=True)
+    )
     for t in (got, want):
         t["total_revenue"] = np.floor(t["total_revenue"] * 100) / 100
     assert len(want) == 25
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
+@pytest.mark.parametrize(
+    "keys", [["i"], ["u"], ["s"], ["s", "i"]], ids=["int64", "uint64", "str", "two"]
+)
+def test_fold_keyed_matches_pandas(ray_session, keys):
+    """``fold_keyed`` == one whole-frame pandas groupby: sum by
+    default, min where ``aggs`` asks, over int64 keys, uint64 keys
+    above 2^63, string keys and a two-column key, fed as several
+    blocks so a key's rows arrive from more than one."""
+    import ray.data
+
+    from lexor_ray.ops.util import fold_keyed
+
+    rng = np.random.default_rng(11)
+    n = 3000
+    src = pd.DataFrame(
+        {
+            "i": rng.integers(-40, 40, n).astype("int64"),
+            "u": np.uint64(1 << 63) + rng.integers(0, 50, n).astype("uint64"),
+            "s": [f"k{x}" for x in rng.integers(0, 60, n)],
+            "v": rng.integers(0, 1000, n).astype("int64"),
+            "w": rng.integers(-1000, 1000, n).astype("int64"),
+        }
+    )[keys + ["v", "w"]]
+    got = df(
+        fold_keyed(
+            ray.data.from_pandas([src.iloc[i::5] for i in range(5)]),
+            keys,
+            aggs={"w": "min"},
+        )
+    )
+    want = src.groupby(keys, as_index=False).agg({"v": "sum", "w": "min"})
+    assert list(got.columns) == keys + ["v", "w"]
+    pd.testing.assert_frame_equal(
+        got.sort_values(keys).reset_index(drop=True),
+        want.sort_values(keys).reset_index(drop=True),
+    )
+
+
+def test_q3_top_revenue_orders_matches_oracle(ray_session):
+    from lexor_ray.ops.relational import q3_top_revenue_orders
+
+    want = _sf001_oracle("q3_top_revenue_orders", ("lineitem", "orders", "customer"))
+    got = df(q3_top_revenue_orders(SF001))
+    assert len(want) == 10
+    assert got["l_orderkey"].tolist() == want["l_orderkey"].tolist()
+    # both sides round to cents after summing in different orders
+    np.testing.assert_allclose(got["revenue"], want["revenue"], rtol=0, atol=0.011)
+
+
+def test_turns_per_conversation_counts_null_text(ray_session, tmp_path, monkeypatch):
+    """A null-text turn still counts in ``n_turns`` (the oracle's
+    ``count(*)``) and adds nothing to ``total_chars``."""
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from lexor_ray.ops import transcripts_ops
+
+    pq.write_table(
+        pa.table(
+            {
+                "conv_id": ["c1", "c1", "c2", "c2", "c2"],
+                "turn_idx": pa.array([0, 1, 0, 1, 2], pa.int32()),
+                "text": ["hello", None, None, "héllo!", ""],
+            }
+        ),
+        tmp_path / "part-0.parquet",
+    )
+    monkeypatch.setattr(transcripts_ops, "transcripts_for", lambda _: str(tmp_path))
+    got = df(transcripts_ops.turns_per_conversation("unused"))
+    want = duckdb.sql(
+        f"""SELECT conv_id,
+                   CAST(sum(length(text)) AS BIGINT) AS total_chars,
+                   CAST(count(*) AS BIGINT) AS n_turns
+            FROM read_parquet('{tmp_path}/*.parquet')
+            GROUP BY conv_id ORDER BY conv_id"""
+    ).df()
+    assert want["n_turns"].tolist() == [2, 3]
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
 def test_one_keyed_shuffle_in_package():
     """The bucket tag and its hash appear in one function only,
-    ``ops/util.coarse_apply``: every keyed shuffle goes through it."""
+    ``ops/util.coarse_apply``: every keyed shuffle goes through it.
+    No keyed aggregate bypasses it through Ray's sort-based
+    ``groupby(...).aggregate(...)`` or ``groupby(...).count()`` —
+    ``fold_bounded`` and ``fold_keyed`` are the two keyed folds."""
     import ast
     import pathlib
+    import re
+
+    ray_agg = re.compile(
+        r"ray\.data\.aggregate|\.groupby\([^()]*\)\s*\.(?:aggregate\(|count\(\))"
+    )
 
     pkg = pathlib.Path(__file__).resolve().parent.parent / "lexor_ray"
     hits: dict[str, set] = {'"__bucket"': set(), "hash_pandas_object": set()}
+    bypass = []
     for path in sorted(pkg.rglob("*.py")):
         src = path.read_text()
+        bypass += [
+            f"{path.relative_to(pkg)}:{src.count(chr(10), 0, m.start()) + 1}"
+            for m in ray_agg.finditer(src)
+        ]
         spans = [
             (node.lineno, node.end_lineno, node.name)
             for node in ast.parse(src).body
@@ -1253,3 +1407,4 @@ def test_one_keyed_shuffle_in_package():
                     hits[pat].add(f"{path.relative_to(pkg)}:{owner}")
     want = {"ops/util.py:coarse_apply"}
     assert hits == {'"__bucket"': want, "hash_pandas_object": want}
+    assert bypass == []
