@@ -11,7 +11,7 @@ an empty ``Text('')`` placeholder, skips the subtree, and relies on
 ``None`` here is the same observable result).
 
 Rules come from a :class:`~lexor_ray.dialects.registry.Dialect`; the
-rule table is per-actor state (SURVEY.md §2.7).
+rule table is per-worker state (SURVEY.md §2.7).
 """
 
 from __future__ import annotations

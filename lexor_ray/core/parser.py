@@ -4,8 +4,11 @@ Re-expresses the reference's ``Parser`` (``lexor/core/parser.py:84-410``)
 semantics exactly — the behavioral heart of the engine:
 
 - per-container-name NodeParser dispatch with a compiled
-  ``.*?[chars]`` next-candidate regex per name
-  (``parser.py:137-144, 313-319``),
+  ``[chars]`` next-candidate regex per name
+  (``parser.py:137-144, 313-319``; the reference's ``.*?[chars]``
+  finds the same index, but re-scans to the end of the text from
+  every start position once no candidate is left — quadratic in a
+  markup-free tail),
 - text-run consumption with eager adjacent-Text merging and minimum
   one-character progress (``parser.py:337-355``),
 - the open-node stack with innermost-out ``close()`` polling, the
@@ -19,9 +22,10 @@ Differences from the reference (deliberate):
 - The registry is built from a :class:`~lexor_ray.dialects.registry.Dialect`
   object resolved from a plain dict registry, not from filesystem
   style-module discovery (``lexor/command/lang.py:140-173``); this is
-  the actor-pool state of SURVEY.md §2.7 — a Parser is constructed
-  ONCE per Ray actor in ``__init__`` and reused for every row of every
-  batch.
+  the per-worker state of SURVEY.md §2.7 — a Parser is constructed
+  ONCE per worker process (the per-worker cache, ``ops/util.cached``
+  and ``pipeline._WORKER_EXTRACTORS``) and reused for every row of
+  every batch.
 - The log is a plain list of dict records instead of a Document of
   ``Void('msg')`` nodes (``parser.py:287-303``); it becomes an Arrow
   ``list<struct>`` column downstream.
@@ -60,7 +64,7 @@ class NodeParser:
 
 
 class Parser:
-    """The parsing engine. Construct once (per Ray actor), call
+    """The parsing engine. Construct once (per worker process), call
     :meth:`parse` per row."""
 
     def __init__(self, dialect) -> None:
@@ -74,7 +78,7 @@ class Parser:
         self._next_check: dict[str, re.Pattern] = {}
         self._instances: dict[type, NodeParser] = {}
         for name, (chars, np_classes) in dialect.resolved_parser_mapping().items():
-            self._next_check[name] = re.compile(".*?[%s]" % chars, re.DOTALL)
+            self._next_check[name] = re.compile("[%s]" % chars)
             self._np[name] = [self._instance(c) for c in np_classes]
         # hit counters for lineage records (north rule): parser-rule
         # name -> number of nodes it produced. Reset externally.
@@ -174,7 +178,7 @@ class Parser:
         match = checker.search(self.text, self.caret)
         if match is None:
             return -1
-        return match.end(0) - 1
+        return match.start()
 
     def _process_node(self, crt: Node, node, processor: NodeParser):
         """Reference ``parser.py:321-335``."""

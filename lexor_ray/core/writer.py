@@ -80,7 +80,7 @@ class DefaultWriter(NodeWriter):
 
 
 class Writer:
-    """Construct once per actor with a dialect; ``write(node)`` returns
+    """Construct once per worker with a dialect; ``write(node)`` returns
     the serialized string. Reference state machine ``writer.py:123-516``
     minus the filesystem plumbing (``ds.write_parquet`` is the sink)."""
 

@@ -8,9 +8,10 @@ parser (``lexor/core/parser.py:123-144``), converter
 (``converter.py:276-297``), writer (``writer.py:411-431``).
 
 Here a dialect is a :class:`Dialect` object registered in a module
-dict. A Ray actor receives the *dialect name* (a small string, cheap
-to ship in the actor constructor args) and resolves + compiles the
-tables in ``__init__`` — once per actor, amortized over all batches
+dict. A Ray task receives the *dialect name* (a small string, cheap
+to ship with every task) and resolves + compiles the tables once per
+worker process through the per-worker cache
+(``pipeline._WORKER_EXTRACTORS``), amortized over all batches
 (SURVEY.md §2.7).
 """
 

@@ -56,8 +56,9 @@ class TextSpanWriter:
 
 
 class Extractor:
-    """Parse+convert+write state bundle — built once per Ray actor
-    (the §2.7 registry state), then applied per row."""
+    """Parse+convert+write state bundle — built once per worker
+    process (the §2.7 registry state, held in the per-worker cache
+    ``pipeline._WORKER_EXTRACTORS``), then applied per row."""
 
     def __init__(self, dialect: str = "html-text") -> None:
         d = get_dialect(dialect)
@@ -170,7 +171,8 @@ _DEFAULT: dict[str, Extractor] = {}
 
 def extract_one(text: str, dialect: str = "html-text") -> dict:
     """Module-level convenience for tests / single-shot use. Ray stages
-    construct their own :class:`Extractor` in actor ``__init__``."""
+    reuse one :class:`Extractor` per worker process through the
+    per-worker cache (``pipeline._WORKER_EXTRACTORS``)."""
     ext = _DEFAULT.get(dialect)
     if ext is None:
         ext = _DEFAULT[dialect] = Extractor(dialect)

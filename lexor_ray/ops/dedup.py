@@ -297,7 +297,8 @@ def _minhash_batches(batch, num_perm: int, bands: int):
 def minhash_lsh_candidates(
     sf_dir: str, num_perm: int = 64, bands: int = 16, dedup_pairs: bool = True
 ):
-    """MinHash-LSH candidate pairs: signature stage (actor pool) →
+    """MinHash-LSH candidate pairs: signature stage (per-worker cache,
+    ``ops/util.cached``) →
     explode to (band_id, band_hash, doc_id) → bucket groupby → pairs.
     Returns unique candidate (a, b) pairs with a < b.
 

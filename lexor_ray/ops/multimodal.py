@@ -1,5 +1,6 @@
 """Multimodal column plumbing: opaque binary payloads with typed
-metadata, decoded/feature-extracted by actor-pool stages.
+metadata, decoded/feature-extracted by stateless-task stages whose
+decoders live in the per-worker cache (``ops/util.cached``).
 
 Two REAL pure-numpy codecs are implemented — 24-bit BMP
 (:func:`decode_bmp`) and 8-bit RGB PNG with full five-filter
@@ -258,7 +259,7 @@ class StubDecoder:
     to an (h, w, 3) pixel array whose statistics become the features.
     ``image/fake`` payloads keep the honest stub (mean/std over raw
     bytes — PIL/opencv are not in this container for JPEG-class
-    formats). Either way the actor signature, batch sizing and output
+    formats). Either way the call signature, batch sizing and output
     schema are the production contract. Raises NotImplementedError for
     media types neither path handles."""
 
@@ -324,7 +325,8 @@ class StubDecoder:
 
 
 def media_features(sf_dir: str):
-    """Binary-column pipeline: synthesize → actor-pool decode with
+    """Binary-column pipeline: synthesize → decode (per-worker cache,
+    ``ops/util.cached``) with
     SMALL batches (wide binary rows need a low batch_size so
     batch × concurrency fits the heap — the memory-aware rule)."""
     ds = synthesize_media(sf_dir)

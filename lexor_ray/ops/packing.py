@@ -19,9 +19,10 @@ Semantics (fully deterministic):
   gets a bin of its own (flagged ``oversize``).
 
 Scale shape: one vectorized ``map_batches`` computes tokens + shard;
-ONE keyed shuffle (``groupby(shard)``) colocates each shard; the
-per-shard packing is a numpy loop over *bins* (searchsorted on the
-token cumsum — O(bins · log n)), never over documents. Driver holds
+ONE keyed shuffle (``coarse_apply`` on ``shard``) colocates each
+shard; the per-shard packing is a numpy loop over *bins*
+(searchsorted on the token cumsum — O(bins · log n)), never over
+documents. Driver holds
 nothing. ``n_shards`` controls shard size: at 100 TB pick shards of
 ~10⁶ documents so the per-shard sort stays in-memory; the packing
 quality loss vs a single global sequence is nil because greedy
@@ -43,7 +44,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .sampling import splitmix64
-from .util import tbl
+from .util import coarse_apply, tbl
 
 
 def _pack_shard(tok: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
@@ -92,21 +93,20 @@ def pack_sequences(sf_dir: str, budget: int = 512, n_shards: int = 64):
             }
         )
 
-    def pack(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("doc_id", kind="mergesort")
-        tok = g["n_tokens"].to_numpy(np.int64)
+    def pack_shard(sub: pd.DataFrame) -> pd.DataFrame:
+        tok = sub["n_tokens"].to_numpy(np.int64)
         bin_idx, pos = _pack_shard(tok, budget)
-        out = g[["doc_id", "n_tokens", "shard"]].copy()
-        out["bin_idx"] = bin_idx
-        out["pos_in_bin"] = pos
-        out["oversize"] = tok > budget
-        return out
+        return sub[["doc_id", "n_tokens", "shard"]].assign(
+            bin_idx=bin_idx, pos_in_bin=pos, oversize=tok > budget
+        )
 
-    return (
-        ds.map_batches(shard_tokens, batch_format="pandas")
-        .groupby("shard")
-        .map_groups(pack, batch_format="pandas")
-        
+    def pack(g: pd.DataFrame) -> pd.DataFrame:
+        # a bucket may hold several shards: pack each one's doc_id run
+        g = g.sort_values(["shard", "doc_id"], kind="mergesort")
+        return pd.concat([pack_shard(s) for _, s in g.groupby("shard", sort=False)])
+
+    return coarse_apply(
+        ds.map_batches(shard_tokens, batch_format="pandas"), ["shard"], pack
     )
 
 

@@ -4,8 +4,9 @@ Four paths:
 
 - brute-force cosine top-k: the query matrix is broadcast once
   (``ray.put``), each batch does one numpy matmul against it and emits
-  its local top-k candidates; a tiny groupby merges per-query
-  candidates. Exact — the oracle-checkable baseline.
+  its local top-k candidates; one bounded fold (``fold_blocks`` with
+  :func:`topk_rows`) merges them. Exact — the oracle-checkable
+  baseline.
 - sign-LSH ANN: hyperplane buckets with 1-bit multi-probe, searching
   only bucket members (~probes/2^planes of the corpus).
 - IVF ANN: inverted-file cells from the k-means coarse quantizer,
@@ -16,13 +17,11 @@ Four paths:
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .util import tbl
+from .util import cached, cached_for_ref, coarse_apply, fold_blocks, tbl
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
@@ -57,10 +56,85 @@ def _query_matrix(sf_dir: str, n_queries: int, normalize: bool = True):
     return qids, (_normalize(qm) if normalize else qm)
 
 
+#: the per-batch candidate rows every top-k search path emits
+_CAND = pa.schema(
+    [("query_id", pa.int64()), ("vec_id", pa.int64()), ("cosine", pa.float64())]
+)
+
+
+def _candidates(qids: np.ndarray, sims: np.ndarray, ids: np.ndarray, k: int) -> pa.Table:
+    """Each query's ``k + 1`` best columns of ``sims`` (queries × batch
+    rows) as candidate rows, self-matches dropped — one spare so that
+    ``k`` remain once a query's own vector goes."""
+    kk = min(k + 1, sims.shape[1])
+    if kk == 0 or len(qids) == 0:
+        return _CAND.empty_table()
+    idx = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
+    q = np.repeat(np.asarray(qids, np.int64), kk)
+    v = ids[idx].ravel()
+    keep = v != q
+    return pa.table(
+        {
+            "query_id": pa.array(q[keep], pa.int64()),
+            "vec_id": pa.array(v[keep], pa.int64()),
+            "cosine": pa.array(
+                np.take_along_axis(sims, idx, axis=1).ravel()[keep], pa.float64()
+            ),
+        }
+    )
+
+
+def _probe(cells, probe_map, qids, qm, ids, emb, k: int) -> pa.Table:
+    """ANN search of one batch: each query scores only the rows of the
+    cells (LSH buckets, IVF lists) that ``probe_map`` sends it to."""
+    parts = [_CAND.empty_table()]
+    for c in np.unique(cells):
+        queries = probe_map.get(int(c))
+        if queries:
+            m = cells == c
+            parts.append(_candidates(qids[queries], qm[queries] @ emb[m].T, ids[m], k))
+    return pa.concat_tables(parts)
+
+
+def topk_rows(t: pa.Table, k: int) -> pa.Table:
+    """Each query's ``k`` best candidates, ordered by (``query_id``,
+    ``cosine`` desc, ``vec_id``): the one top-k merge of every search
+    path. A (``query_id``, ``vec_id``) pair found more than once (by
+    several probes) counts once. Reassociative — the top-k of per-part
+    top-ks is the top-k of the whole — so it is a ``fold_blocks``
+    combine."""
+    df = t.to_pandas().sort_values(
+        ["query_id", "cosine", "vec_id"],
+        ascending=[True, False, True],
+        kind="mergesort",
+    )
+    df = df.drop_duplicates(["query_id", "vec_id"])
+    top = df.groupby("query_id", sort=False).head(k)
+    return pa.Table.from_pandas(top, schema=t.schema, preserve_index=False)
+
+
+def _ranked_topk(cand, k: int, cosine: bool = True):
+    """Fold per-batch candidates into ``(query_id, vec_id[, cosine],
+    rank)``, sorted by (``query_id``, ``rank``) in the final task;
+    ``cosine`` rounded to 4 places as in the oracle."""
+
+    def finish(t: pa.Table) -> pa.Table:
+        rank = t.to_pandas().groupby("query_id", sort=False).cumcount() + 1
+        cols = {"query_id": t["query_id"], "vec_id": t["vec_id"]}
+        if cosine:
+            cols["cosine"] = pa.array(
+                [round(c, 4) for c in t["cosine"].to_pylist()], pa.float64()
+            )
+        cols["rank"] = pa.array(rank.to_numpy(np.int64))
+        return pa.table(cols)
+
+    return fold_blocks(cand, lambda t: topk_rows(t, k), finish)
+
+
 def brute_force_topk(sf_dir: str, n_queries: int = 10, k: int = 5):
     """Exact cosine top-k: per-batch matmul against the broadcast
-    query matrix → local top-k per query → merge in a per-query
-    groupby. Returns (query_id, vec_id, cosine, rank), self-matches
+    query matrix → local top-k per query → merge in one bounded fold
+    (:func:`topk_rows`). Returns (query_id, vec_id, cosine, rank), self-matches
     excluded; ties broken by vec_id for determinism."""
     import ray
 
@@ -72,55 +146,19 @@ def brute_force_topk(sf_dir: str, n_queries: int = 10, k: int = 5):
         qids_, qm_ = ray.get(q_ref)
         ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
         emb = _normalize(np.asarray(batch.column("embedding").to_pylist(), dtype=np.float64))
-        sims = qm_ @ emb.T  # (nq, nb)
-        out_q, out_v, out_s = [], [], []
-        kk = min(k + 1, sims.shape[1])
-        for qi in range(len(qids_)):
-            row = sims[qi]
-            idx = np.argpartition(-row, kk - 1)[:kk]
-            for j in idx:
-                if ids[j] == qids_[qi]:
-                    continue
-                out_q.append(qids_[qi])
-                out_v.append(ids[j])
-                out_s.append(row[j])
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "vec_id": pa.array(out_v, type=pa.int64()),
-                "cosine": pa.array(out_s, type=pa.float64()),
-            }
-        )
+        return _candidates(qids_, qm_ @ emb.T, ids, k)
 
-    cand = ds.map_batches(local_topk, batch_format="pyarrow")
-
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        top = heapq.nsmallest(
-            k, group.itertuples(index=False), key=lambda r: (-r.cosine, r.vec_id)
-        )
-        return pd.DataFrame(
-            {
-                "query_id": [r.query_id for r in top],
-                "vec_id": [r.vec_id for r in top],
-                "cosine": [round(r.cosine, 4) for r in top],
-                "rank": list(range(1, len(top) + 1)),
-            }
-        )
-
-    return (
-        cand.groupby("query_id")
-        .map_groups(merge, batch_format="pandas")
-        .sort(["query_id", "rank"])
-    )
+    return _ranked_topk(ds.map_batches(local_topk, batch_format="pyarrow"), k)
 
 
 def lsh_ann_topk(
     sf_dir: str, n_queries: int = 10, k: int = 5, n_planes: int | None = None
 ):
     """Approximate top-k: corpus bucketed by sign-LSH (deterministic
-    hyperplanes from a fixed seed, rebuilt per actor); each query
-    searches its own bucket plus all 1-bit-flip probes. Recall is
-    evaluated against :func:`brute_force_topk` in tests.
+    hyperplanes from a fixed seed, kept in the per-worker cache,
+    ``ops/util.cached``); each query searches its own bucket plus all
+    1-bit-flip probes. Recall is evaluated against
+    :func:`brute_force_topk` in tests.
 
     ``n_planes`` defaults to ~log2(corpus/64): buckets average ≈64
     vectors so multi-probe covers enough candidates at any scale."""
@@ -173,69 +211,48 @@ def lsh_ann_topk(
             keys = np.zeros(len(ids), dtype=np.uint32)
             for b in range(self.n_planes):
                 keys |= bits[:, b] << b
-            out_q, out_v, out_s = [], [], []
-            # group batch rows by bucket, search only probed buckets
-            for key in np.unique(keys):
-                queries = probe_map.get(int(key))
-                if not queries:
-                    continue
-                mask = keys == key
-                sub_ids = ids[mask]
-                sub = emb[mask]
-                sims = qm[queries] @ sub.T
-                for row, qi in zip(sims, queries):
-                    kk = min(k + 1, len(sub_ids))
-                    idx = np.argpartition(-row, kk - 1)[:kk]
-                    for j in idx:
-                        if sub_ids[j] == qids[qi]:
-                            continue
-                        out_q.append(qids[qi])
-                        out_v.append(sub_ids[j])
-                        out_s.append(row[j])
-            return pa.table(
-                {
-                    "query_id": pa.array(out_q, type=pa.int64()),
-                    "vec_id": pa.array(out_v, type=pa.int64()),
-                    "cosine": pa.array(out_s, type=pa.float64()),
-                }
-            )
-
-    from .util import cached
+            return _probe(keys, probe_map, qids, qm, ids, emb, k)
 
     def search_batches(batch, _n=n_planes, _k=k, _q=q_ref):
         inst = cached(("lsh-search-planes", _n), lambda: BucketSearch(_n))
         qids_, qm_, probe_map_ = ray.get(_q)
         return inst.search(batch, qids_, qm_, probe_map_, _k)
 
-    cand = ds.map_batches(search_batches, batch_format="pyarrow")
+    return _ranked_topk(ds.map_batches(search_batches, batch_format="pyarrow"), k)
 
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        group = group.drop_duplicates("vec_id")
-        top = heapq.nsmallest(
-            k, group.itertuples(index=False), key=lambda r: (-r.cosine, r.vec_id)
-        )
-        return pd.DataFrame(
-            {
-                "query_id": [r.query_id for r in top],
-                "vec_id": [r.vec_id for r in top],
-                "cosine": [round(r.cosine, 4) for r in top],
-                "rank": list(range(1, len(top) + 1)),
-            }
-        )
 
-    return (
-        cand.groupby("query_id")
-        .map_groups(merge, batch_format="pandas")
-        .sort(["query_id", "rank"])
+def _vec_sums(key: str, keys: np.ndarray, vecs: np.ndarray, n: np.ndarray) -> pa.Table:
+    """Per-key vector sum and row count, ``(key, vec_sum, n)``: the
+    per-batch partial AND the ``fold_blocks`` combine of the k-means
+    and label-centroid folds (sums reassociate)."""
+    uniq = np.unique(keys)
+    return pa.table(
+        {
+            key: pa.array(uniq),
+            "vec_sum": pa.array(
+                [vecs[keys == u].sum(axis=0) for u in uniq], pa.list_(pa.float64())
+            ),
+            "n": pa.array([n[keys == u].sum() for u in uniq], pa.int64()),
+        }
     )
+
+
+def _vec_sum_fold(parts, key: str, finish=None):
+    """``fold_blocks`` of ``(key, vec_sum, n)`` partials."""
+
+    def combine(t: pa.Table) -> pa.Table:
+        vecs = np.asarray(t["vec_sum"].to_pylist(), dtype=np.float64)
+        return _vec_sums(key, t[key].to_numpy(), vecs, t["n"].to_numpy())
+
+    return fold_blocks(parts, combine, finish)
 
 
 def _kmeans_centroids(sf_dir: str, k: int, max_iters: int) -> np.ndarray:
     """The distributed Lloyd's loop: returns the (k, dim) centroid
     matrix. Centroids broadcast per round (``ray.put``), per-batch
-    vectorized assignment + partial (sum, count), tiny per-cluster
-    merge, driver-side update until stable. Deterministic init: the
-    first k vectors by vec_id."""
+    vectorized assignment + partial (sum, count), one bounded fold of
+    the k cluster sums, driver-side update until stable. Deterministic
+    init: the first k vectors by vec_id."""
     import ray
     import ray.data
 
@@ -253,28 +270,10 @@ def _kmeans_centroids(sf_dir: str, k: int, max_iters: int) -> np.ndarray:
             )
             # cosine assignment == max dot product on normalized rows
             assign = np.argmax(emb @ c.T, axis=1)
-            rows = []
-            for ci in np.unique(assign):
-                m = assign == ci
-                rows.append(
-                    {
-                        "cluster": int(ci),
-                        "vec_sum": emb[m].sum(axis=0).tolist(),
-                        "n": int(m.sum()),
-                    }
-                )
-            return pa.Table.from_pylist(rows)
+            return _vec_sums("cluster", assign, emb, np.ones(len(assign), np.int64))
 
         parts = ds.map_batches(partial, batch_format="pyarrow")
-
-        def merge(g: pd.DataFrame) -> pd.DataFrame:
-            vs = np.asarray(g["vec_sum"].tolist(), dtype=np.float64).sum(axis=0)
-            return pd.DataFrame(
-                {"cluster": [int(g["cluster"].iloc[0])], "vec_sum": [vs.tolist()],
-                 "n": [int(g["n"].sum())]}
-            )
-
-        agg = parts.groupby("cluster").map_groups(merge, batch_format="pandas").to_pandas()
+        agg = _vec_sum_fold(parts, "cluster").to_pandas()
         new_c = centroids.copy()
         for _, row in agg.iterrows():
             if row["n"] > 0:
@@ -360,51 +359,9 @@ def ivf_ann_topk(
         # cell membership recomputed per batch from the broadcast
         # centroids — no corpus-sized lookup table anywhere
         cell = np.argmax(emb @ cents.T, axis=1)
-        out_q, out_v, out_s = [], [], []
-        for c in np.unique(cell):
-            queries = pm.get(int(c))
-            if not queries:
-                continue
-            m = cell == c
-            sub_ids, sub = ids[m], emb[m]
-            sims = qm_[queries] @ sub.T
-            kk = min(k + 1, len(sub_ids))
-            for row, qi in zip(sims, queries):
-                for j in np.argpartition(-row, kk - 1)[:kk]:
-                    if sub_ids[j] == qids_[qi]:
-                        continue
-                    out_q.append(qids_[qi])
-                    out_v.append(sub_ids[j])
-                    out_s.append(row[j])
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "vec_id": pa.array(out_v, type=pa.int64()),
-                "cosine": pa.array(out_s, type=pa.float64()),
-            }
-        )
+        return _probe(cell, pm, qids_, qm_, ids, emb, k)
 
-    cand = ds.map_batches(search, batch_format="pyarrow")
-
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        group = group.drop_duplicates("vec_id")
-        top = heapq.nsmallest(
-            k, group.itertuples(index=False), key=lambda r: (-r.cosine, r.vec_id)
-        )
-        return pd.DataFrame(
-            {
-                "query_id": [r.query_id for r in top],
-                "vec_id": [r.vec_id for r in top],
-                "cosine": [round(r.cosine, 4) for r in top],
-                "rank": list(range(1, len(top) + 1)),
-            }
-        )
-
-    return (
-        cand.groupby("query_id")
-        .map_groups(merge, batch_format="pandas")
-        .sort(["query_id", "rank"])
-    )
+    return _ranked_topk(ds.map_batches(search, batch_format="pyarrow"), k)
 
 
 def ann_recall(sf_dir: str, n_queries: int = 10, k: int = 5, min_recall: float = 0.3):
@@ -449,39 +406,31 @@ def ann_recall(sf_dir: str, n_queries: int = 10, k: int = 5, min_recall: float =
 
 def embedding_label_centroids(sf_dir: str):
     """Per-label centroid norm — grouped vector aggregate (partial
-    sums per batch, merge in a tiny groupby). SQL-checkable scalar
-    output: label, n_vecs, centroid_norm."""
+    sums per batch, one bounded fold, the norm in its final task).
+    SQL-checkable scalar output: label, n_vecs, centroid_norm."""
     ds = tbl(sf_dir, "embeddings", columns=["vec_id", "label", "embedding"])
 
     def partial(batch: pa.Table) -> pa.Table:
         labels = batch.column("label").to_numpy(zero_copy_only=False)
         emb = np.asarray(batch.column("embedding").to_pylist(), dtype=np.float64)
-        uniq = np.unique(labels)
-        sums = np.stack([emb[labels == u].sum(axis=0) for u in uniq])
-        counts = np.array([(labels == u).sum() for u in uniq], dtype=np.int64)
+        return _vec_sums("label", labels, emb, np.ones(len(labels), np.int64))
+
+    def finish(t: pa.Table) -> pa.Table:
+        t = t.sort_by("label")
+        n = t["n"].to_pylist()
+        norms = [
+            round(float(np.linalg.norm(np.asarray(v) / max(c, 1))), 4)
+            for v, c in zip(t["vec_sum"].to_pylist(), n)
+        ]
         return pa.table(
             {
-                "label": pa.array(uniq.astype(np.int32)),
-                "vec_sum": pa.array(list(sums)),
-                "n": pa.array(counts),
+                "label": pa.array(t["label"].to_numpy().astype(np.int64)),
+                "n_vecs": pa.array(n, pa.int64()),
+                "centroid_norm": pa.array(norms, pa.float64()),
             }
         )
 
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        vs = np.asarray(group["vec_sum"].tolist(), dtype=np.float64).sum(axis=0)
-        n = int(group["n"].sum())
-        centroid = vs / max(n, 1)
-        return pd.DataFrame(
-            {
-                "label": [int(group["label"].iloc[0])],
-                "n_vecs": [n],
-                "centroid_norm": [round(float(np.linalg.norm(centroid)), 4)],
-            }
-        )
-
-    return parts.groupby("label").map_groups(merge, batch_format="pandas").sort("label")
+    return _vec_sum_fold(ds.map_batches(partial, batch_format="pyarrow"), "label", finish)
 
 
 #: upper bound on per-cluster chunk COUNT in semdedup's exact pruning
@@ -515,8 +464,8 @@ def semdedup(
     Scale shape: the Lloyd's loop is the existing distributed
     :func:`_kmeans_centroids` (broadcast centroids + per-batch
     partials); assignment is one vectorized ``map_batches``; pruning
-    shuffles each cluster to one task (``groupby(cluster)`` — k
-    groups, so per-group overhead is nil). Oversized clusters are
+    shuffles each cluster to one task (``coarse_apply`` on
+    ``cluster``). Oversized clusters are
     EXACT too (r3 verdict item 5): the cluster is chunked by
     ``vec_id`` ranges and every chunk is compared within itself AND
     against each earlier chunk — a two-level pass covering all m²
@@ -554,10 +503,10 @@ def semdedup(
 
     assigned = ds.map_batches(assign, batch_format="pyarrow")
 
-    def prune(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("vec_id", kind="mergesort")
-        embs = np.asarray(g["emb"].tolist(), dtype=np.float64)
-        n = len(g)
+    def prune_cluster(sub: pd.DataFrame) -> pd.DataFrame:
+        """Star-rule pruning of ONE vec_id-sorted cluster."""
+        embs = np.asarray(sub["emb"].tolist(), dtype=np.float64)
+        n = len(embs)
         dropped = np.zeros(n, dtype=bool)
         # auto-sized chunk: cap rows unless that would mean more than
         # _SEMDEDUP_MAX_CHUNKS chunks — but never auto-grow a chunk
@@ -578,17 +527,19 @@ def semdedup(
             dropped[s : s + chunk] = d
         return pd.DataFrame(
             {
-                "vec_id": g["vec_id"].to_numpy(np.int64),
-                "cluster": g["cluster"].to_numpy(np.int32),
+                "vec_id": sub["vec_id"].to_numpy(np.int64),
+                "cluster": sub["cluster"].to_numpy(np.int32),
                 "kept": ~dropped,
             }
         )
 
-    return (
-        assigned.groupby("cluster")
-        .map_groups(prune, batch_format="pandas")
-        
-    )
+    def prune(g: pd.DataFrame) -> pd.DataFrame:
+        # a bucket may hold several clusters: prune each one's vec_id run
+        g = g.sort_values(["cluster", "vec_id"], kind="mergesort")
+        by_cluster = g.groupby("cluster", sort=False)
+        return pd.concat([prune_cluster(s) for _, s in by_cluster])
+
+    return coarse_apply(assigned, ["cluster"], prune)
 
 
 # ---------------------------------------------------------------------------
@@ -602,9 +553,9 @@ def semdedup(
 def _sq8_stats(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-dimension global (min, max) over the embeddings table:
     per-batch vectorized partials (one row per block: the block's
-    elementwise min/max) folded in a distributed TREE (fan-in stage,
-    then one final task) — the driver collects exactly one row, never
-    a per-block list (at 100 TB that list is millions of rows)."""
+    elementwise min/max) folded by ``fold_blocks`` — the driver
+    collects exactly one row, never a per-block list (at 100 TB that
+    list is millions of rows)."""
     ds = tbl(sf_dir, "embeddings", columns=["embedding"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -625,14 +576,9 @@ def _sq8_stats(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
         mx = np.asarray(t["mx"].to_pylist(), dtype=np.float64).max(axis=0)
         return pa.table({"mn": [mn.tolist()], "mx": [mx.tolist()]})
 
-    rows = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .repartition(16)
-        .map_batches(combine, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(combine, batch_format="pyarrow", batch_size=None)
-        .take_all()
-    )
+    rows = fold_blocks(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=None), combine
+    ).take_all()
     # a fragmented final combine would silently return a PARTIAL
     # min/max grid (ADVICE r3): fail loudly instead
     assert len(rows) == 1, f"SQ8 stats fold fragmented: {len(rows)} rows"
@@ -668,8 +614,6 @@ def sq8_quantize(sf_dir: str):
     ds = tbl(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     def quant(batch: pa.Table) -> pa.Table:
-        from .util import cached_for_ref
-
         mn_, mx_ = cached_for_ref(
             "sq8-grid", grid_ref, lambda: ray.get(grid_ref)
         )
@@ -717,62 +661,21 @@ def sq8_topk(sf_dir: str, n_queries: int = 10, k: int = 5):
     ds = tbl(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     def local_topk(batch: pa.Table) -> pa.Table:
-        from .util import cached_for_ref
-
         qids_, qdq_, mn_, mx_ = cached_for_ref(
             "sq8-topk-q", q_ref, lambda: ray.get(q_ref)
         )
         ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
         emb = np.asarray(batch.column("embedding").to_pylist(), dtype=np.float64)
         if emb.size == 0:
-            return pa.table(
-                {"query_id": pa.array([], pa.int64()),
-                 "vec_id": pa.array([], pa.int64()),
-                 "cosine": pa.array([], pa.float64())}
-            )
+            return _CAND.empty_table()
         span_ = mx_ - mn_
         dq = mn_ + (_sq8_codes(emb, mn_, mx_) + 0.5) * (
             np.where(span_ == 0, 0.0, span_) / 255.0
         )
-        sims = qdq_ @ _normalize(dq).T
-        out_q, out_v, out_s = [], [], []
-        kk = min(k + 1, sims.shape[1])
-        for qi in range(len(qids_)):
-            row = sims[qi]
-            idx = np.argpartition(-row, kk - 1)[:kk]
-            for j in idx:
-                if ids[j] == qids_[qi]:
-                    continue
-                out_q.append(qids_[qi])
-                out_v.append(ids[j])
-                out_s.append(row[j])
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "vec_id": pa.array(out_v, type=pa.int64()),
-                "cosine": pa.array(out_s, type=pa.float64()),
-            }
-        )
+        return _candidates(qids_, qdq_ @ _normalize(dq).T, ids, k)
 
     cand = ds.map_batches(local_topk, batch_format="pyarrow")
-
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        top = heapq.nsmallest(
-            k, group.itertuples(index=False), key=lambda r: (-r.cosine, r.vec_id)
-        )
-        return pd.DataFrame(
-            {
-                "query_id": [r.query_id for r in top],
-                "vec_id": [r.vec_id for r in top],
-                "rank": list(range(1, len(top) + 1)),
-            }
-        )
-
-    return (
-        cand.groupby("query_id")
-        .map_groups(merge, batch_format="pandas")
-        .sort(["query_id", "rank"])
-    )
+    return _ranked_topk(cand, k, cosine=False)
 
 
 def embedding_features(sf_dir: str, k: int = 8):
@@ -789,8 +692,6 @@ def embedding_features(sf_dir: str, k: int = 8):
     ds = tbl(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     def fused(batch: pa.Table) -> pa.Table:
-        from .util import cached_for_ref
-
         c, mn_, mx_ = cached_for_ref(
             "embedding-features-state", state_ref, lambda: ray.get(state_ref)
         )

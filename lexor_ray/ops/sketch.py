@@ -22,7 +22,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .util import tbl
+from .util import coarse_apply, fold_blocks, tbl
 
 P = 12  #: 2^12 = 4096 registers, ~1.6% standard error
 M = 1 << P
@@ -120,17 +120,15 @@ def approx_distinct_users(sf_dir: str):
     sketches = ds.map_batches(sketch, batch_format="pyarrow")
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
+        est = {
+            k: merge_sketches(sub["mode"], sub["payload"])
+            for k, sub in g.groupby("event_type", sort=False)
+        }
         return pd.DataFrame(
-            {
-                "event_type": [g["event_type"].iloc[0]],
-                "approx_users": [merge_sketches(g["mode"], g["payload"])],
-            }
+            {"event_type": list(est), "approx_users": list(est.values())}
         )
 
-    return (
-        sketches.groupby("event_type").map_groups(merge, batch_format="pandas")
-        .sort("event_type")
-    )
+    return coarse_apply(sketches, ["event_type"], merge).sort("event_type")
 
 
 def distinct_users_exact_and_sketch(sf_dir: str):
@@ -170,7 +168,8 @@ def heavy_hitter_terms(sf_dir: str, k: int = 20):
     per-batch token-count partials (one row per distinct term per
     batch — the shuffle moves counts, not tokens), ONE coarse keyed
     shuffle summing per term with a per-bucket top-k (exact: a term
-    lives entirely in one bucket), then a final k·n_buckets-row merge.
+    lives entirely in one bucket), then a ``fold_blocks`` top-k of the
+    per-bucket top-ks.
     Ties broken (count desc, term asc). SQL-checkable; the
     bounded-memory scale tier is :func:`cms_heavy_hitters` (asserted
     to find the same top-k in tests)."""
@@ -206,26 +205,19 @@ def heavy_hitter_terms(sf_dir: str, k: int = 20):
 
     cand = coarse_apply(parts, ["term"], bucket_topk, n_buckets=64)
 
-    def final(t: pa.Table) -> pa.Table:
-        df = (
-            t.to_pandas()
-            .sort_values(["c", "term"], ascending=[False, True], kind="mergesort")
-            .head(k)
-        )
+    def top(t: pa.Table) -> pa.Table:
+        return t.sort_by([("c", "descending"), ("term", "ascending")]).slice(0, k)
+
+    def rank(t: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "rank": pa.array(np.arange(1, len(df) + 1, dtype=np.int64)),
-                "term": pa.array(df["term"].to_numpy(dtype=object), pa.string()),
-                "term_count": pa.array(df["c"].to_numpy(np.int64)),
+                "rank": pa.array(np.arange(1, t.num_rows + 1, dtype=np.int64)),
+                "term": t["term"].cast(pa.string()),
+                "term_count": t["c"].cast(pa.int64()),
             }
         )
 
-    # batch_size=None: the final rank pass must see the whole
-    # repartition(1) block in ONE call (ADVICE r3 — a split block
-    # would emit duplicated per-batch top-k rows)
-    return cand.repartition(1).map_batches(
-        final, batch_format="pyarrow", batch_size=None
-    )
+    return fold_blocks(cand, top, rank)
 
 
 def _cms_rows(h: np.ndarray, w: int) -> np.ndarray:
@@ -240,9 +232,9 @@ def _cms_rows(h: np.ndarray, w: int) -> np.ndarray:
 def cms_heavy_hitters(sf_dir: str, k: int = 20, w: int = 1 << 13, cand: int = 64):
     """Count-Min-Sketch heavy hitters — the bounded-memory scale tier:
     each batch emits ONE row (its d×w counter matrix + its local
-    top-``cand`` candidate terms); a distributed TREE FOLD sums the
-    matrices and unions the candidates (the driver collects exactly
-    one folded row), then ranks the candidate union by the CMS
+    top-``cand`` candidate terms); ``fold_blocks`` sums the matrices
+    and unions the candidates (the driver collects exactly one folded
+    row), then ranks the candidate union by the CMS
     min-estimate. Estimates only ever OVERCOUNT (collision bias), so a
     true heavy hitter cannot be pushed out by undercounting; tested
     against :func:`heavy_hitter_terms` plus the overestimate
@@ -279,9 +271,9 @@ def cms_heavy_hitters(sf_dir: str, k: int = 20, w: int = 1 << 13, cand: int = 64
         )
 
     def combine(t: pa.Table) -> pa.Table:
-        """Tree-fold stage: sum the CMS matrices, union the candidate
-        lists — the driver collects ONE folded row, never a per-block
-        list (at 100 TB that list is millions of d×w payloads)."""
+        """Sum the CMS matrices, union the candidate lists — the driver
+        collects ONE folded row, never a per-block list (at 100 TB that
+        list is millions of d×w payloads)."""
         if t.num_rows == 0:
             return t
         summed = np.zeros(d * w, dtype=np.int64)
@@ -296,14 +288,9 @@ def cms_heavy_hitters(sf_dir: str, k: int = 20, w: int = 1 << 13, cand: int = 64
             }
         )
 
-    rows = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .repartition(16)
-        .map_batches(combine, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(combine, batch_format="pyarrow", batch_size=None)
-        .take_all()
-    )
+    rows = fold_blocks(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=None), combine
+    ).take_all()
     # a fragmented final combine would silently return a PARTIAL CMS
     # matrix (ADVICE r3): fail loudly instead
     assert len(rows) == 1, f"CMS final fold fragmented: {len(rows)} rows"
@@ -431,7 +418,7 @@ def value_quantile_sketch(
 
     sketches = ds.map_batches(partial, batch_format="pyarrow")
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
+    def merge_key(key, g: pd.DataFrame) -> dict:
         vals = np.concatenate([np.asarray(x, np.float64) for x in g["vals"]])
         cnts = np.concatenate([np.asarray(x, np.int64) for x in g["cnts"]])
         hist = pd.Series(cnts).groupby(pd.Series(vals)).sum()
@@ -446,15 +433,16 @@ def value_quantile_sketch(
             sample = np.sort(v[keep])
             qs = _disc_quantiles(sample, np.ones(len(sample), np.int64))
             mode = "reservoir"
-        row = {key_col: [g[key_col].iloc[0]], "mode": [mode]}
-        for (_, name), val in zip(QS, qs):
-            row[name] = [val]
-        return pd.DataFrame(row)
+        return {key_col: key, "mode": mode} | {
+            name: val for (_, name), val in zip(QS, qs)
+        }
 
-    return (
-        sketches.groupby(key_col).map_groups(merge, batch_format="pandas")
-        .sort(key_col)
-    )
+    def merge(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
+            [merge_key(k, sub) for k, sub in g.groupby(key_col, sort=False)]
+        )
+
+    return coarse_apply(sketches, [key_col], merge).sort(key_col)
 
 
 def event_type_sketches(sf_dir: str):

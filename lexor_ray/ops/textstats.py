@@ -2,8 +2,9 @@
 counting, quality counts/scores, language ID, document fingerprinting.
 
 All per-row computations are vectorized where a kernel exists
-(pyarrow.compute string kernels / pandas str) and actor-pooled where
-state is needed (compiled regexes, marker tables) — the §2.7 pattern.
+(pyarrow.compute string kernels / pandas str); state (compiled
+regexes, marker tables) lives in the per-worker cache
+(``ops/util.cached``) — the §2.7 pattern.
 """
 
 from __future__ import annotations
@@ -194,7 +195,8 @@ def quality_scores(sf_dir: str):
 
 class LangId:
     """Marker-word + n-gram heuristic language ID for the five corpus
-    languages. Marker tables compiled once per actor."""
+    languages. Marker tables compiled once per worker (per-worker
+    cache, ``ops/util.cached``)."""
 
     MARKERS = {
         "en": {"the", "and", "of", "to", "is", "in", "that", "it", "with", "for"},

@@ -140,8 +140,9 @@ def extraction_log_summary(sf_dir: str):
 
 
 class MarkdownBatch:
-    """Actor-pool stage for the html→markdown style (NodeWriter
-    machinery end-to-end over the transcripts table)."""
+    """Stateless-task stage for the html→markdown style (NodeWriter
+    machinery end-to-end over the transcripts table), built once per
+    worker by the per-worker cache (``ops/util.cached``)."""
 
     def __init__(self) -> None:
         from ..core.converter import Converter

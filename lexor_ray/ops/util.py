@@ -15,11 +15,14 @@ Scale-first conventions used across ``lexor_ray.ops``:
   ``bucketed_join``, ``heavy_keys`` and ``fold_keyed`` are its
   callers, so a shuffle strategy or bucket-count change lands in one
   function.
-- **Two keyed folds, no Ray aggregate**: Sum/Min/Max per key go
-  through ``fold_bounded`` when the key domain is small and
-  data-independent, and through ``fold_keyed`` (one ``coarse_apply``)
-  when it is not. Ray's sort-based ``groupby().aggregate`` is not
-  used anywhere in the package.
+- **One bounded fold**: a reassociative combine over a small, fixed
+  key domain (flag pairs, query ids, k clusters, one global row)
+  goes through ``fold_blocks``, the only ``repartition(1)`` in the
+  package; everything else goes through ``coarse_apply``. Keyed
+  Sum/Min/Max use ``fold_bounded`` (a ``fold_blocks`` caller) or
+  ``fold_keyed`` (a ``coarse_apply`` caller) by that same rule. Ray's
+  sort-based ``groupby().aggregate`` is not used anywhere in the
+  package.
 - **Stable rounding**: float aggregates are rounded identically in
   the Ray path and the DuckDB oracle SQL so value-hash comparison is
   deterministic across summation orders.
@@ -285,30 +288,54 @@ def sql_source(table_or_path: str) -> str:
     return table_or_path
 
 
-def fold_bounded(parts, keys: list[str], fan_in: int = 16, aggs: dict | None = None):
-    """Two-level arrow fold for KEY-BOUNDED partial aggregates —
-    replaces ``groupby().aggregate(Sum...)`` + a trailing
-    ``Dataset.sort`` when the key domain is small and data-independent
-    (flag/status pairs, event types × time windows): Ray's sort-based
-    groupby plus a separate sort shuffle cost whole seconds of fixed
-    overhead on results of a few hundred rows (measured on q1: the
-    6-row trailing sort alone sampled+shuffled 64 blocks for ~0.4 s).
+_FAN_IN = 16  # level-1 partitions of every fold_blocks
 
-    Level 1 sums every non-key column per key inside ``fan_in``
-    coalesced partitions; level 2 folds those in ONE task and returns
-    the table sorted by ``keys``. Level-2 input is ≤ #keys × fan_in
-    rows — callers assert key-boundedness by choosing this helper; for
-    unbounded keys use a real keyed shuffle (``coarse_apply``).
+
+def fold_blocks(parts, combine, finish=None):
+    """THE bounded fold: two levels of whole-block calls, no keyed
+    shuffle. Level 1 runs ``combine`` on each of ``_FAN_IN`` coalesced
+    partitions; level 2 runs ``finish(combine(t))`` on the single
+    ``repartition(1)`` block. Both take and return a ``pa.Table``.
+
+    ``combine`` MUST be reassociative: ``combine(concat(combine(a),
+    combine(b)))`` equals ``combine(concat(a, b))`` (sums, min/max,
+    set unions, top-k of top-ks). Level-2 input is at most the output
+    rows of ``combine`` × ``_FAN_IN``, so use this only when that is
+    small by construction (a fixed key domain: flag pairs, query ids,
+    k clusters); anything else goes through :func:`coarse_apply`.
+
+    Limitation: an ALL-empty input yields an empty dataset with NO
+    schema (Ray's repartition drops empty blocks before combine
+    runs)."""
+
+    def last(t: pa.Table) -> pa.Table:
+        t = combine(t)
+        return t if finish is None else finish(t)
+
+    # batch_size=None = whole block per call: the level-2 call MUST
+    # see the single repartition(1) block in one batch or it would emit
+    # one partially-folded row group per batch slice (ADVICE r3)
+    lvl1 = parts.repartition(_FAN_IN).map_batches(
+        combine, batch_format="pyarrow", batch_size=None
+    )
+    return lvl1.repartition(1).map_batches(
+        last, batch_format="pyarrow", batch_size=None
+    )
+
+
+def fold_bounded(parts, keys: list[str], aggs: dict | None = None):
+    """Keyed Sum/Min/Max for KEY-BOUNDED partial aggregates (flag/status
+    pairs, event types × time windows): a :func:`fold_blocks` whose
+    combine is one arrow ``group_by`` per block, and whose finish sorts
+    by ``keys``. Replaces ``groupby().aggregate(Sum...)`` + a trailing
+    ``Dataset.sort``, which cost whole seconds of fixed overhead on
+    results of a few hundred rows (measured on q1: the 6-row trailing
+    sort alone sampled+shuffled 64 blocks for ~0.4 s). For unbounded
+    keys use :func:`fold_keyed`.
 
     ``aggs`` maps a value column to its reassociative fold kernel
     (``"sum" | "min" | "max"``; default ``"sum"`` for every non-key
-    column) — the SAME kernel applies at both levels, which is exactly
-    why only reassociative aggregates are allowed here.
-
-    Limitation: an ALL-empty input yields an empty dataset with NO
-    schema (Ray's repartition drops empty blocks before combine runs);
-    fine for the call sites, which roll up non-empty tables."""
-    import pyarrow as pa
+    column) — the SAME kernel applies at both levels."""
 
     def combine(t: pa.Table) -> pa.Table:
         vals = [c for c in t.column_names if c not in keys]
@@ -319,17 +346,8 @@ def fold_bounded(parts, keys: list[str], fan_in: int = 16, aggs: dict | None = N
             | {c: agg[f"{c}_{kind[c]}"] for c in vals}
         )
 
-    # batch_size=None = whole block per call: the level-2 reducer MUST
-    # see the single repartition(1) block in one batch or it would emit
-    # one partially-folded row group per batch slice (ADVICE r3: the
-    # invariant held on Ray 2.49 by default, but was unasserted)
-    lvl1 = parts.repartition(fan_in).map_batches(
-        combine, batch_format="pyarrow", batch_size=None
-    )
-    return lvl1.repartition(1).map_batches(
-        lambda t: combine(t).sort_by([(k, "ascending") for k in keys]),
-        batch_format="pyarrow",
-        batch_size=None,
+    return fold_blocks(
+        parts, combine, lambda t: t.sort_by([(k, "ascending") for k in keys])
     )
 
 

@@ -1371,11 +1371,12 @@ def test_turns_per_conversation_counts_null_text(ray_session, tmp_path, monkeypa
 
 
 def test_one_keyed_shuffle_in_package():
-    """The bucket tag and its hash appear in one function only,
-    ``ops/util.coarse_apply``: every keyed shuffle goes through it.
-    No keyed aggregate bypasses it through Ray's sort-based
-    ``groupby(...).aggregate(...)`` or ``groupby(...).count()`` —
-    ``fold_bounded`` and ``fold_keyed`` are the two keyed folds."""
+    """The bucket tag, its hash and Ray's ``map_groups`` appear in one
+    function only, ``ops/util.coarse_apply``: every keyed shuffle goes
+    through it. The one single-task gather, ``repartition(1)``, appears
+    only in ``ops/util.fold_blocks``: every bounded fold goes through
+    it. No keyed aggregate bypasses them through Ray's sort-based
+    ``groupby(...).aggregate(...)`` or ``groupby(...).count()``."""
     import ast
     import pathlib
     import re
@@ -1385,7 +1386,12 @@ def test_one_keyed_shuffle_in_package():
     )
 
     pkg = pathlib.Path(__file__).resolve().parent.parent / "lexor_ray"
-    hits: dict[str, set] = {'"__bucket"': set(), "hash_pandas_object": set()}
+    hits: dict[str, set] = {
+        '"__bucket"': set(),
+        "hash_pandas_object": set(),
+        ".map_groups(": set(),
+        ".repartition(1)": set(),
+    }
     bypass = []
     for path in sorted(pkg.rglob("*.py")):
         src = path.read_text()
@@ -1406,5 +1412,61 @@ def test_one_keyed_shuffle_in_package():
                     )
                     hits[pat].add(f"{path.relative_to(pkg)}:{owner}")
     want = {"ops/util.py:coarse_apply"}
-    assert hits == {'"__bucket"': want, "hash_pandas_object": want}
+    assert hits == {
+        '"__bucket"': want,
+        "hash_pandas_object": want,
+        ".map_groups(": want,
+        ".repartition(1)": {"ops/util.py:fold_blocks"},
+    }
     assert bypass == []
+
+
+def test_fold_blocks_finishes_in_one_call(ray_session):
+    """Level 2 sees the whole ``repartition(1)`` block in ONE call: a
+    finish that counts its input rows returns one row, the full count."""
+    import pyarrow as pa
+    import ray.data
+
+    from lexor_ray.ops.util import fold_blocks
+
+    ds = ray.data.range(1000).repartition(8)
+    got = fold_blocks(
+        ds, lambda t: t, lambda t: pa.table({"rows": [t.num_rows]})
+    ).take_all()
+    assert got == [{"rows": 1000}]
+
+
+def test_topk_rows_matches_heapq_and_reassociates():
+    """``topk_rows`` equals the per-query ``heapq.nsmallest`` merge it
+    replaced (key ``(-cosine, vec_id)``, duplicate ``vec_id`` counted
+    once) on inputs with planted cosine ties and duplicate vec_ids, and
+    a two-level fold over a random split gives the same table."""
+    import heapq
+
+    import pyarrow as pa
+
+    from lexor_ray.ops.similarity import topk_rows
+
+    k = 5
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        q = rng.integers(0, 6, n)
+        v = rng.integers(0, 40, n)  # many repeated vec_ids per query
+        # 21 cosine levels: many ties; a (query, vec) pair found twice
+        # carries the same cosine, as when two probes reach one vector
+        cos = (rng.integers(-10, 11, (6, 40)) / 10.0)[q, v]
+        t = pa.table({"query_id": q, "vec_id": v, "cosine": cos})
+        got = topk_rows(t, k)
+
+        want = []
+        for qid in sorted(set(q.tolist())):
+            cands = {(int(vv), float(c)) for qq, vv, c in zip(q, v, cos) if qq == qid}
+            top = heapq.nsmallest(k, cands, key=lambda r: (-r[1], r[0]))
+            want += [(qid, vv, c) for vv, c in top]
+        assert list(zip(*(got[c].to_pylist() for c in got.column_names))) == want
+
+        part = rng.integers(0, 8, n)
+        lvl1 = [topk_rows(t.filter(pa.array(part == p)), k) for p in range(8)]
+        lvl2 = topk_rows(pa.concat_tables(lvl1), k)
+        assert lvl2.equals(got)

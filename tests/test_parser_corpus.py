@@ -166,3 +166,37 @@ def test_autoclosed_span_covers_content():
     assert i_el.name == "i"
     assert src[i_el.span[0] : i_el.span[1]] == "<i>hello"
     assert src[div.span[0] : div.span[1]] == "<div><i>hello</div>"
+
+
+def _best_parse_s(parser: Parser, text: str, reps: int) -> float:
+    """Per-parse time of the fastest of up to 5 rounds of ``reps``
+    parses, stopping once 1 s has been spent."""
+    import time
+
+    times: list[float] = []
+    while len(times) < 5 and sum(times) <= 1.0:
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            parser.parse(text)
+        times.append(time.perf_counter() - t0)
+    return min(times) / reps
+
+
+def test_text_scan_is_linear_in_markup_free_tail():
+    """The next-candidate search must not re-scan the rest of the text
+    from every position: parsing an 8× longer markup-free tail costs
+    about 8× (a quadratic scan costs ~64×). The bound is on the ratio,
+    not on wall time, so a slow host does not fail it. Each timed
+    round repeats the parse until the short text takes ≥ 20 ms, so
+    sub-millisecond parses are not decided by scheduler noise."""
+    import time
+
+    p = Parser(get_dialect("html"))
+    short_text = "<b>x</b>" + "a" * 8_000
+    long_text = "<b>x</b>" + "a" * 64_000
+    t0 = time.perf_counter()
+    p.parse(short_text)
+    reps = max(1, int(0.02 / (time.perf_counter() - t0)))
+    short = _best_parse_s(p, short_text, reps)
+    long = _best_parse_s(p, long_text, reps)
+    assert long / short < 24, (reps, short, long)
