@@ -47,7 +47,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .sampling import splitmix64
-from .util import coarse_dedup, splitmix64_sql, sql_source as _src, tbl
+from .util import coarse_dedup, collect, splitmix64_sql, sql_source as _src, tbl
 
 #: splitmix64 gamma (public constant) — stepping the seed by it makes
 #: positions j = 0..k-1 the first k outputs of the splitmix stream.
@@ -92,6 +92,9 @@ def _positions(h: np.ndarray, m: int, k: int) -> np.ndarray:
     return (splitmix64(seeds.reshape(-1)) % np.uint64(m)).reshape(-1, k)
 
 
+_POS = pa.schema([("pos", pa.uint64())])
+
+
 def build_bloom_positions(sf_dir: str, m: int, k: int):
     """Distinct set bit positions of the prior snapshot (doc_id even)
     as a Dataset — per-batch dedup first, then one ``coarse_dedup``,
@@ -101,14 +104,14 @@ def build_bloom_positions(sf_dir: str, m: int, k: int):
     def batch_positions(batch: pd.DataFrame) -> pa.Table:
         old = batch[batch["doc_id"].to_numpy(np.int64) % 2 == 0]
         if len(old) == 0:
-            return pa.table({"pos": pa.array([], type=pa.uint64())})
+            return _POS.empty_table()
         pos = _positions(_batch_text_hash(old["text"]), m, k)
         return pa.table({"pos": pa.array(np.unique(pos), type=pa.uint64())})
 
     # keyed-shuffle dedup (Dataset.unique trips over uint64 numpy
     # scalars in its set accumulator); output is ≤ m rows
     return coarse_dedup(
-        ds.map_batches(batch_positions, batch_format="pandas"), ["pos"]
+        ds.map_batches(batch_positions, batch_format="pandas"), ["pos"], _POS
     )
 
 
@@ -118,15 +121,7 @@ def bloom_dedup(sf_dir: str, m: int = 1 << 20, k: int = 4):
     ``(doc_id, n_hit_bits, maybe_dup)``, maybe_dup = all k bits set."""
     import ray
 
-    pos_df = build_bloom_positions(sf_dir, m, k).to_pandas()
-    # Ray drops the schema when EVERY aggregate block is empty (an
-    # empty prior snapshot — same guard as util.heavy_keys, r5
-    # review: the frame then has no 'pos' column at all)
-    pos = (
-        pos_df["pos"].to_numpy(np.uint64)
-        if "pos" in pos_df.columns
-        else np.empty(0, dtype=np.uint64)
-    )
+    pos = collect(build_bloom_positions(sf_dir, m, k), _POS)["pos"].to_numpy(np.uint64)
     bitmap = np.zeros(m, dtype=bool)
     bitmap[pos] = True
     bitmap_ref = ray.put(np.packbits(bitmap))

@@ -45,6 +45,7 @@ import math
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from .sampling import TRAIN_BP, splitmix64
 from .util import splitmix64_sql, sql_source, tbl
@@ -153,7 +154,7 @@ def train_nb_quality(
     # vectorized pandas sum per bucket (same merged result — sums are
     # order-independent); Ray's sort-based groupby().sum() on string
     # keys costs several× more at this shape (see ops/lm.py, measured)
-    from .util import coarse_apply
+    from .util import coarse_apply, collect
 
     def agg(g: pd.DataFrame) -> pd.DataFrame:
         m = (
@@ -171,31 +172,29 @@ def train_nb_quality(
             ignore_index=True,
         )
 
-    counts = coarse_apply(
-        ds.map_batches(partials, batch_format="pandas"),
-        ["kind", "word"],
-        agg,
-        n_buckets=64,
-    ).to_pandas()
-    if top_v is not None and "kind" in counts.columns:
+    # an EMPTY training split collects a typed empty table and
+    # degrades to the flat prior model
+    schema = pa.schema(
+        [("kind", pa.string()), ("word", pa.string())]
+        + [("label", pa.bool_()), ("n", pa.int64())]
+    )
+    counts = collect(
+        coarse_apply(
+            ds.map_batches(partials, batch_format="pandas"),
+            ["kind", "word"],
+            agg,
+            schema,
+            n_buckets=64,
+        ),
+        schema,
+    )
+    if top_v is not None:
         # per-bucket prefilter left ≤64·top_v candidate words; the
         # exact global top_v is one tiny driver-side pass
         w = counts["kind"] == "w"
         counts = pd.concat(
             [prune_word_counts(counts[w], 1, top_v), counts[~w]],
             ignore_index=True,
-        )
-    if "kind" not in counts.columns:
-        # EMPTY training split: Ray drops all-empty blocks, losing the
-        # schema (fold_bounded limitation) — degrade to the flat prior
-        # model instead of crashing (review fix, mirrors ops/lm.py)
-        counts = pd.DataFrame(
-            {
-                "kind": pd.Series([], dtype=object),
-                "word": pd.Series([], dtype=object),
-                "label": pd.Series([], dtype=bool),
-                "n": pd.Series([], dtype="int64"),
-            }
         )
     return nb_model_from_counts(counts)
 

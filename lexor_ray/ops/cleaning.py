@@ -224,12 +224,17 @@ def span_dedup(sf_dir: str, span_sents: int = 3, delim: str = ". "):
     def first_occurrence(g: pd.DataFrame) -> pd.DataFrame:
         # global winner per span value: min (doc_id, span_idx)
         order = g.sort_values(["span", "doc_id", "span_idx"], kind="mergesort")
-        kept = ~order.duplicated("span")
-        out = order.copy()
-        out["kept"] = kept
-        return out
+        return order.assign(kept=~order.duplicated("span"))
 
-    return coarse_apply(spans, ["span"], first_occurrence)
+    schema = pa.schema(
+        [
+            ("doc_id", pa.int64()),
+            ("span_idx", pa.int64()),
+            ("span", pa.string()),
+            ("kept", pa.bool_()),
+        ]
+    )
+    return coarse_apply(spans, ["span"], first_occurrence, schema)
 
 
 #: estimated window-string shuffle bytes above which ``key="auto"``
@@ -367,7 +372,15 @@ def dup_passages(sf_dir: str, k: int = 50, key: str = "text"):
             out["window"] = out["window"].astype(str)
         return out
 
-    return coarse_apply(wins, ["window"], decide)
+    schema = pa.schema(
+        [
+            ("doc_id", pa.int64()),
+            ("tok_start", pa.int64()),
+            ("window", pa.string()),
+            ("kept", pa.bool_()),
+        ]
+    )
+    return coarse_apply(wins, ["window"], decide, schema)
 
 
 def passage_dedup_docs(sf_dir: str, k: int = 50, key: str = "auto"):
@@ -478,7 +491,15 @@ def passage_dedup_docs(sf_dir: str, k: int = 50, key: str = "auto"):
             }
         )
 
-    return coarse_apply(tagged, ["doc_id"], rebuild)
+    schema = pa.schema(
+        [
+            ("doc_id", pa.int64()),
+            ("clean_text", pa.string()),
+            ("n_tokens", pa.int64()),
+            ("n_removed_tokens", pa.int64()),
+        ]
+    )
+    return coarse_apply(tagged, ["doc_id"], rebuild, schema)
 
 
 def span_dedup_docs(sf_dir: str, span_sents: int = 3, delim: str = ". "):
@@ -509,7 +530,15 @@ def span_dedup_docs(sf_dir: str, span_sents: int = 3, delim: str = ". "):
             }
         )
 
-    return coarse_apply(decided, ["doc_id"], rebuild)
+    schema = pa.schema(
+        [
+            ("doc_id", pa.int64()),
+            ("clean_text", pa.string()),
+            ("n_spans", pa.int64()),
+            ("n_kept_spans", pa.int64()),
+        ]
+    )
+    return coarse_apply(decided, ["doc_id"], rebuild, schema)
 
 
 # --------------------------------------------------------------------------

@@ -53,7 +53,6 @@ _WIDE = [
     ("q_keep", pa.bool_()),
 ]
 _SCHEMA = pa.schema(_WIDE)
-_INT_COLS = [c for c, t in _WIDE if t == pa.int64() and c != "doc_id"]
 
 
 def _tagger(rename: dict[str, str]):
@@ -170,12 +169,9 @@ def curation_docs(
         out["q_keep"] = (
             out["q_keep"].to_numpy(dtype=object) == True  # noqa: E712
         )
-        out["q_threshold"] = out["q_threshold"].astype("float64")
-        for c in _INT_COLS:
-            out[c] = out[c].astype("int64")
         return out
 
-    return coarse_apply(tagged, ["doc_id"], pivot)
+    return coarse_apply(tagged, ["doc_id"], pivot, _SCHEMA)
 
 
 def curation_docs_oracle_sql(

@@ -26,7 +26,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .util import tbl
+from .util import collect, tbl
 
 # ---------------------------------------------------------------------------
 # exact
@@ -57,8 +57,14 @@ def exact_dedup(sf_dir: str):
             }
         )
 
+    schema = pa.schema(
+        [("h", pa.uint64()), ("doc_id", pa.int64()), ("n_copies", pa.int64())]
+    )
     out = fold_keyed(
-        ds.map_batches(add_hash, batch_format="pyarrow"), ["h"], aggs={"doc_id": "min"}
+        ds.map_batches(add_hash, batch_format="pyarrow"),
+        ["h"],
+        schema,
+        aggs={"doc_id": "min"},
     )
     return out.drop_columns(["h"])
 
@@ -318,15 +324,18 @@ def minhash_lsh_candidates(
     from .util import coarse_apply, coarse_dedup
 
     cand = coarse_apply(
-        sigs, ["band_id", "band_hash"], _bucket_pair_expansion
+        sigs, ["band_id", "band_hash"], _bucket_pair_expansion, _PAIRS
     )
     if not dedup_pairs:
         return cand
     # dedup pairs found in multiple bands (vectorized coarse dedup);
     # NOT sorted here — order is cosmetic and a global sort is a whole
     # extra all-to-all; consumers sort their own final output
-    return coarse_dedup(cand, ["a", "b"])
+    return coarse_dedup(cand, ["a", "b"], _PAIRS)
 
+
+#: candidate pair schema: (a, b) doc ids, a < b
+_PAIRS = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 
 #: LSH bucket size above which pair expansion emits a STAR to the
 #: bucket's min doc_id instead of the full O(k²) triu — a
@@ -349,9 +358,6 @@ def _bucket_pair_expansion(bucket: pd.DataFrame) -> pd.DataFrame:
     of the previous shape (BENCH/BASELINE.md crossover table).
     Groups larger than ``_BUCKET_STAR_CAP`` emit a min-doc_id star
     (O(k) pairs, connectivity preserved) instead of the full triu."""
-    empty = pd.DataFrame({"a": [], "b": []}).astype({"a": "int64", "b": "int64"})
-    if len(bucket) == 0:
-        return empty
     df = bucket.drop_duplicates(["band_id", "band_hash", "doc_id"]).sort_values(
         ["band_id", "band_hash", "doc_id"], kind="mergesort"
     )
@@ -391,20 +397,16 @@ def _bucket_pair_expansion(bucket: pd.DataFrame) -> pd.DataFrame:
         out_a.append(mat[:, ii].reshape(-1))
         out_b.append(mat[:, jj].reshape(-1))
     if not out_a:
-        return empty
+        return pd.DataFrame()
     return pd.DataFrame(
         {"a": np.concatenate(out_a), "b": np.concatenate(out_b)}
     )
 
 
-def _empty_pairs_table() -> pa.Table:
-    return pa.table(
-        {
-            "a": pa.array([], type=pa.int64()),
-            "b": pa.array([], type=pa.int64()),
-            "jaccard": pa.array([], type=pa.float64()),
-        }
-    )
+#: verified pair schema of the n-gram Jaccard pipeline
+_JACCARD_PAIRS = pa.schema(
+    [("a", pa.int64()), ("b", pa.int64()), ("jaccard", pa.float64())]
+)
 
 
 def _attach_text(cand, docs, key_col: str, out_col: str, carry: dict):
@@ -436,7 +438,7 @@ def _join_pair_texts(cand, docs):
 
     # at-scale tier: cross-band duplicate pairs are deduped with the
     # distributed coarse shuffle before the (heavier) text joins
-    cand = coarse_dedup(cand, ["a", "b"])
+    cand = coarse_dedup(cand, ["a", "b"], _PAIRS)
     j1 = _attach_text(
         cand,
         docs,
@@ -552,7 +554,7 @@ def _pairs_with_jaccard(sf_dir: str, threshold: float | None, small_limit=None):
     cand = minhash_lsh_candidates(sf_dir, dedup_pairs=False).materialize()
     n = cand.count()
     if n == 0:
-        return _empty_pairs_table()
+        return _JACCARD_PAIRS.empty_table()
     docs = tbl(sf_dir, "documents", columns=["doc_id", "text"])
     small = n <= small_limit
     if small and n > 0:
@@ -567,10 +569,8 @@ def _pairs_with_jaccard(sf_dir: str, threshold: float | None, small_limit=None):
         # a whole Dataset sort stage (one fewer all-to-all + executor
         # startup on the hot bench path)
         scored = _score_pairs(_broadcast_pair_texts(cand, docs), threshold)
-        out = scored.to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
-        if len(out) == 0:
-            return _empty_pairs_table()
-        return pa.Table.from_pandas(out, preserve_index=False)
+        out = collect(scored, _JACCARD_PAIRS).sort_values(["a", "b"])
+        return pa.Table.from_pandas(out, schema=_JACCARD_PAIRS, preserve_index=False)
     return _score_pairs(_join_pair_texts(cand, docs), threshold).sort(["a", "b"])
 
 
@@ -730,16 +730,6 @@ def _bucket_shingle_overlap(bucket: pd.DataFrame, k: int) -> pd.DataFrame:
     build every document's STRING shingles via shifted-array concat,
     de-dup per (pair, doc, shingle), then count intersection as
     shingles present in BOTH docs of a pair (C-level groupby sizes)."""
-    empty = pd.DataFrame(
-        {
-            "a": pd.Series([], dtype="int64"),
-            "b": pd.Series([], dtype="int64"),
-            "inter_size": pd.Series([], dtype="int64"),
-            "union_size": pd.Series([], dtype="int64"),
-        }
-    )
-    if len(bucket) == 0:
-        return empty
     df = bucket.sort_values(["pair_id", "doc_id"], kind="mergesort").reset_index(
         drop=True
     )
@@ -748,7 +738,7 @@ def _bucket_shingle_overlap(bucket: pd.DataFrame, k: int) -> pd.DataFrame:
     lo = df.groupby("pair_id", sort=False)["doc_id"].transform("min")
     df = df[(sizes == 2) & (lo % 2 == 0) & (df["doc_id"] - lo <= 1)]
     if len(df) == 0:
-        return empty
+        return df
     words = df["text"].fillna("").str.split()
     nw = words.map(len).to_numpy()
     flat = np.concatenate(
@@ -780,12 +770,7 @@ def _bucket_shingle_overlap(bucket: pd.DataFrame, k: int) -> pd.DataFrame:
         # semantics give empty shingle sets for both docs
         pr = df.groupby("pair_id", sort=False)["doc_id"]
         return pd.DataFrame(
-            {
-                "a": pr.min().to_numpy().astype("int64"),
-                "b": pr.max().to_numpy().astype("int64"),
-                "inter_size": 0,
-                "union_size": 0,
-            }
+            {"a": pr.min(), "b": pr.max(), "inter_size": 0, "union_size": 0}
         )
     sh = pd.DataFrame(
         {
@@ -799,11 +784,7 @@ def _bucket_shingle_overlap(bucket: pd.DataFrame, k: int) -> pd.DataFrame:
     # per (pair, gram): in how many of the pair's two docs does it
     # appear? (1 → union only, 2 → intersection too)
     occ = sh.groupby(["pair", "gram"], sort=False).size()
-    inter = (
-        occ[occ == 2].groupby(level="pair").size()
-        if (occ == 2).any()
-        else pd.Series(dtype="int64")
-    )
+    inter = occ[occ == 2].groupby(level="pair").size()
     union = occ.groupby(level="pair").size()
     pr = pd.DataFrame(
         {
@@ -811,11 +792,9 @@ def _bucket_shingle_overlap(bucket: pd.DataFrame, k: int) -> pd.DataFrame:
             "b": pd.Series(doc_ids).groupby(pair_ids, sort=False).max(),
         }
     )
-    pr["inter_size"] = inter.reindex(pr.index).fillna(0).astype("int64")
-    pr["union_size"] = union.reindex(pr.index).fillna(0).astype("int64")
-    return pr.reset_index(drop=True).astype(
-        {"a": "int64", "b": "int64"}
-    )
+    pr["inter_size"] = inter.reindex(pr.index).fillna(0)
+    pr["union_size"] = union.reindex(pr.index).fillna(0)
+    return pr
 
 
 def shingle_overlap_pairs(sf_dir: str, k: int = 3):
@@ -839,8 +818,11 @@ def shingle_overlap_pairs(sf_dir: str, k: int = 3):
     from .util import coarse_apply
 
     paired = ds.map_batches(add_pair, batch_format="pyarrow")
+    schema = pa.schema(
+        [(c, pa.int64()) for c in ("a", "b", "inter_size", "union_size")]
+    )
     return coarse_apply(
-        paired, ["pair_id"], functools.partial(_bucket_shingle_overlap, k=k)
+        paired, ["pair_id"], functools.partial(_bucket_shingle_overlap, k=k), schema
     ).sort("a")
 
 
@@ -905,7 +887,7 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.8, max_rounds: int = 10):
         # (max_rounds forwarded — r4 review: it was silently dropped
         # on exactly the tier where rounds are most expensive)
         return cluster_pairs_distributed(pairs, max_rounds=max_rounds)
-    return cluster_pairs(pairs.to_pandas())
+    return cluster_pairs(collect(pairs, _JACCARD_PAIRS))
 
 
 def cluster_pairs_distributed(edges, max_rounds: int = 30, n_buckets: int = 64):
@@ -948,7 +930,11 @@ def cluster_pairs_distributed(edges, max_rounds: int = 30, n_buckets: int = 64):
         return pa.table({"node": pc.unique(batch["src"].combine_chunks())})
 
     labels = (
-        coarse_dedup(edges2.map_batches(nodes_of, batch_format="pyarrow"), ["node"])
+        coarse_dedup(
+            edges2.map_batches(nodes_of, batch_format="pyarrow"),
+            ["node"],
+            pa.schema([("node", pa.int64())]),
+        )
         .map_batches(
             lambda b: pa.table({"node": b["node"], "label": b["node"]}),
             batch_format="pyarrow",
@@ -956,15 +942,15 @@ def cluster_pairs_distributed(edges, max_rounds: int = 30, n_buckets: int = 64):
         .materialize()
     )
 
+    label_schema = pa.schema([("node", pa.int64()), ("label", pa.int64())])
+
     def _min_labels(ds):
-        # the union may mix pandas blocks (map_groups outputs) with
-        # arrow blocks; coarse_apply's bucket-tag pass rewrites every
-        # block as arrow before its sort. The repartition caps block
-        # count — union + fold otherwise DOUBLE the label dataset's
-        # block count every round (measured: 3 → 7 → 15 → 31 blocks
-        # and exponentially slowing executions).
+        # the repartition caps block count — union + fold otherwise
+        # DOUBLE the label dataset's block count every round
+        # (measured: 3 → 7 → 15 → 31 blocks and exponentially slowing
+        # executions)
         return (
-            fold_keyed(ds, ["node"], aggs={"label": "min"})
+            fold_keyed(ds, ["node"], label_schema, aggs={"label": "min"})
             .repartition(n_buckets)
             .materialize()
         )
@@ -983,14 +969,7 @@ def cluster_pairs_distributed(edges, max_rounds: int = 30, n_buckets: int = 64):
             value_type=pa.int64(),
             n_buckets=n_buckets,
         ).map_batches(
-            lambda b: pa.table({"node": b["dst"], "label": b["label"]})
-            if "dst" in b.schema.names
-            else pa.table(
-                {
-                    "node": pa.array([], type=pa.int64()),
-                    "label": pa.array([], type=pa.int64()),
-                }
-            ),
+            lambda b: pa.table({"node": b["dst"], "label": b["label"]}),
             batch_format="pyarrow",
         )
         new_labels = _min_labels(cand.union(labels))
@@ -1006,14 +985,7 @@ def cluster_pairs_distributed(edges, max_rounds: int = 30, n_buckets: int = 64):
             value_type=pa.int64(),
             n_buckets=n_buckets,
         ).map_batches(
-            lambda b: pa.table({"node": b["node"], "label": b["parent"]})
-            if "parent" in b.schema.names
-            else pa.table(
-                {
-                    "node": pa.array([], type=pa.int64()),
-                    "label": pa.array([], type=pa.int64()),
-                }
-            ),
+            lambda b: pa.table({"node": b["node"], "label": b["parent"]}),
             batch_format="pyarrow",
         )
         new_labels = _min_labels(compressed.union(new_labels))
@@ -1233,11 +1205,6 @@ def simhash_candidates(
         than ``direct_cap`` fall back to the per-group recursive
         splitter (no per-group Python for the common case — the
         measured dispatch bottleneck, BENCH/BASELINE.md)."""
-        empty = pd.DataFrame({"a": [], "b": [], "hamming": []}).astype(
-            {"a": "int64", "b": "int64", "hamming": "int64"}
-        )
-        if len(bucket) == 0:
-            return empty
         df = bucket.drop_duplicates(
             ["band_id", "band_key", "doc_id"]
         ).sort_values(["band_id", "band_key", "doc_id"], kind="mergesort")
@@ -1289,13 +1256,14 @@ def simhash_candidates(
                     )
                 )
         if not outs:
-            return empty
+            return pd.DataFrame()
         return pd.concat(outs, ignore_index=True)
 
     from .util import coarse_apply, coarse_dedup
 
-    cand = coarse_apply(exploded, ["band_id", "band_key"], pairs_bucket)
-    return coarse_dedup(cand, ["a", "b"]).sort(["a", "b"])
+    schema = pa.schema([(c, pa.int64()) for c in ("a", "b", "hamming")])
+    cand = coarse_apply(exploded, ["band_id", "band_key"], pairs_bucket, schema)
+    return coarse_dedup(cand, ["a", "b"], schema).sort(["a", "b"])
 
 
 def simhash_bucket_pairs(
@@ -1397,6 +1365,9 @@ def embedding_neardup(
     split recursively on extra deterministic hyperplanes inside the
     verify fn — pairs crossing such a split are lost, which is the
     documented recall trade for bounding the O(b²) verify.
+
+    Returns the ``(a, b, cosine)`` pairs, sorted, as a pandas frame
+    (``util.collect``: typed even when no pair survives).
     """
     if ds is None:
         ds = tbl(sf_dir, "embeddings", columns=["vec_id", "embedding"])
@@ -1482,11 +1453,6 @@ def embedding_neardup(
         batched matmul per size class (einsum) — no per-group Python
         dispatch (the measured bottleneck; BENCH/BASELINE.md).
         Oversized groups fall back to the recursive splitter."""
-        empty = pd.DataFrame({"a": [], "b": [], "cosine": []}).astype(
-            {"a": "int64", "b": "int64", "cosine": "float64"}
-        )
-        if len(bucket) == 0:
-            return empty
         df = bucket.drop_duplicates(["band_id", "bucket", "vec_id"]).sort_values(
             ["band_id", "bucket", "vec_id"], kind="mergesort"
         )
@@ -1528,30 +1494,20 @@ def embedding_neardup(
                 out_b.append(sub_ids[gi, jj[pi]])
                 out_c.append(vals[gi, pi])
         if not out_a:
-            return empty
+            return pd.DataFrame()
         return pd.DataFrame(
             {
-                "a": np.concatenate(out_a).astype("int64"),
-                "b": np.concatenate(out_b).astype("int64"),
-                "cosine": np.round(np.concatenate(out_c), 4).astype("float64"),
+                "a": np.concatenate(out_a),
+                "b": np.concatenate(out_b),
+                "cosine": np.round(np.concatenate(out_c), 4),
             }
         )
 
     from .util import coarse_apply, coarse_dedup
 
-    cand = coarse_apply(bucketed, ["band_id", "bucket"], verify_bucket)
-    out = coarse_dedup(cand, ["a", "b"]).sort(["a", "b"]).materialize()
-    if out.count() == 0:
-        # empty Ray results drop their schema (CLAUDE.md gotcha) —
-        # return a typed empty table so the oracle compare sees columns
-        return pa.table(
-            {
-                "a": pa.array([], type=pa.int64()),
-                "b": pa.array([], type=pa.int64()),
-                "cosine": pa.array([], type=pa.float64()),
-            }
-        )
-    return out
+    schema = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("cosine", pa.float64())])
+    cand = coarse_apply(bucketed, ["band_id", "bucket"], verify_bucket, schema)
+    return collect(coarse_dedup(cand, ["a", "b"], schema).sort(["a", "b"]), schema)
 
 
 def neardup_candidates(sf_dir: str):

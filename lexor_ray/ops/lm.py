@@ -56,6 +56,7 @@ import math
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from .sampling import TRAIN_BP, splitmix64
 from .util import splitmix64_sql, sql_source, tbl
@@ -154,7 +155,7 @@ def train_bigram_lm(
     # groupby().sum() on two string keys costs ~11× more here
     # (measured 6.2 s vs 0.57 s at sf0.01; same merged result, sums
     # are order-independent)
-    from .util import coarse_apply
+    from .util import coarse_apply, collect
 
     def agg(g: pd.DataFrame) -> pd.DataFrame:
         # the prune runs HERE, distributed, before any driver collect
@@ -165,26 +166,23 @@ def train_bigram_lm(
             top_n,
         )
 
-    c2 = coarse_apply(
-        ds.map_batches(partials, batch_format="pandas"),
-        ["prev", "cur"],
-        agg,
-        n_buckets=64,
-    ).to_pandas()
-    if top_n is not None and "prev" in c2.columns:
+    # an EMPTY training split collects a typed empty table and
+    # degrades to the flat OOV model
+    schema = pa.schema([("prev", pa.string()), ("cur", pa.string()), ("n", pa.int64())])
+    c2 = collect(
+        coarse_apply(
+            ds.map_batches(partials, batch_format="pandas"),
+            ["prev", "cur"],
+            agg,
+            schema,
+            n_buckets=64,
+        ),
+        schema,
+    )
+    if top_n is not None:
         # per-bucket prefilter left ≤64·top_n candidates; the exact
         # global top_n is one tiny driver-side pass
         c2 = prune_bigram_counts(c2, 1, top_n)
-    if "prev" not in c2.columns:
-        # EMPTY training split: Ray drops all-empty blocks, losing the
-        # schema — degrade to the flat OOV model (review fix)
-        c2 = pd.DataFrame(
-            {
-                "prev": pd.Series([], dtype=object),
-                "cur": pd.Series([], dtype=object),
-                "n": pd.Series([], dtype="int64"),
-            }
-        )
     return lm_model_from_counts(c2)
 
 
@@ -350,7 +348,7 @@ def _train_both(
         nb_model_from_counts,
         prune_word_counts,
     )
-    from .util import coarse_apply
+    from .util import coarse_apply, collect
 
     ds = tbl(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -412,22 +410,20 @@ def _train_both(
         ).rename(columns={"prev": "k1", "cur": "k2"})
         return pd.concat([wp, bp, m[~w & ~b]], ignore_index=True)
 
-    counts = coarse_apply(
-        ds.map_batches(partials, batch_format="pandas"),
-        ["kind", "k1"],
-        agg,
-        n_buckets=64,
-    ).to_pandas()
-    if "kind" not in counts.columns:  # empty training split
-        counts = pd.DataFrame(
-            {
-                "kind": pd.Series([], dtype=object),
-                "k1": pd.Series([], dtype=object),
-                "k2": pd.Series([], dtype=object),
-                "label": pd.Series([], dtype=bool),
-                "n": pd.Series([], dtype="int64"),
-            }
-        )
+    schema = pa.schema(
+        [(c, pa.string()) for c in ("kind", "k1", "k2")]
+        + [("label", pa.bool_()), ("n", pa.int64())]
+    )
+    counts = collect(
+        coarse_apply(
+            ds.map_batches(partials, batch_format="pandas"),
+            ["kind", "k1"],
+            agg,
+            schema,
+            n_buckets=64,
+        ),
+        schema,
+    )
     nb_counts = counts[counts["kind"].isin(("w", "d"))].rename(
         columns={"k1": "word"}
     )[["kind", "word", "label", "n"]]

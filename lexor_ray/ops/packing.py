@@ -105,8 +105,15 @@ def pack_sequences(sf_dir: str, budget: int = 512, n_shards: int = 64):
         g = g.sort_values(["shard", "doc_id"], kind="mergesort")
         return pd.concat([pack_shard(s) for _, s in g.groupby("shard", sort=False)])
 
+    schema = pa.schema(
+        [
+            (c, pa.int64())
+            for c in ("doc_id", "n_tokens", "shard", "bin_idx", "pos_in_bin")
+        ]
+        + [("oversize", pa.bool_())]
+    )
     return coarse_apply(
-        ds.map_batches(shard_tokens, batch_format="pandas"), ["shard"], pack
+        ds.map_batches(shard_tokens, batch_format="pandas"), ["shard"], pack, schema
     )
 
 

@@ -47,7 +47,7 @@ def _events_heavy_keys(sf_dir: str, threshold: int):
     if md.num_rows < threshold:
         return pd.DataFrame({"user_id": pd.Series([], dtype="int64")})
     return heavy_keys(
-        tbl(sf_dir, "events", columns=["user_id"]), "user_id", threshold
+        tbl(sf_dir, "events", columns=["user_id"]), "user_id", pa.int64(), threshold
     )
 
 
@@ -190,7 +190,8 @@ def q3_top_revenue_orders(sf_dir: str, segment: str = "BUILDING", k: int = 10):
     parts = li.map_batches(partial, batch_format="pyarrow")
     from .util import bucketed_join, fold_keyed
 
-    rev = fold_keyed(parts, ["l_orderkey"]).map_batches(
+    rev_schema = pa.schema([("l_orderkey", pa.int64()), ("revenue", pa.float64())])
+    rev = fold_keyed(parts, ["l_orderkey"], rev_schema).map_batches(
         lambda b: b.set_column(
             b.schema.get_field_index("revenue"),
             "revenue",
@@ -304,14 +305,6 @@ def customer_nation_revenue(sf_dir: str):
     )
 
     def to_nation(batch: pd.DataFrame) -> pd.DataFrame:
-        if "revenue" not in batch.columns:  # schemaless empty join block
-            return pd.DataFrame(
-                {
-                    "n_name": pd.Series([], dtype=object),
-                    "revenue": pd.Series([], dtype="float64"),
-                    "n_orders": pd.Series([], dtype="int64"),
-                }
-            )
         names = batch["c_nationkey"].map(ray.get(nation_ref))
         t = pd.DataFrame(
             {"n_name": names, "revenue": batch["revenue"], "n_orders": batch["n_orders"]}
@@ -532,16 +525,11 @@ def top_events_per_user(
     ds = tbl(sf_dir, "events", columns=["user_id", "event_id", "ts"])
     heavy = _events_heavy_keys(sf_dir, heavy_threshold)
 
+    schema = pa.schema(
+        [(c, pa.int64()) for c in ("user_id", "event_id", "ts_us", "rank")]
+    )
+
     def topk(bucket: pd.DataFrame, by: list[str], ts_col: str) -> pd.DataFrame:
-        if len(bucket) == 0:
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series([], dtype="int64"),
-                    "event_id": pd.Series([], dtype="int64"),
-                    "ts_us": pd.Series([], dtype="int64"),
-                    "rank": pd.Series([], dtype="int64"),
-                }
-            )
         df = bucket.sort_values(
             [*by, ts_col, "event_id"],
             ascending=[True] * len(by) + [False, True],
@@ -549,22 +537,15 @@ def top_events_per_user(
         )
         rank = df.groupby(by, sort=False).cumcount() + 1
         df = df.assign(rank=rank)[rank <= k]
-        ts_us = (
-            df[ts_col].astype("datetime64[us]").astype("int64")
-            if ts_col == "ts"
-            else df[ts_col].astype("int64")
-        )
-        return pd.DataFrame(
-            {
-                "user_id": df["user_id"],
-                "event_id": df["event_id"],
-                "ts_us": ts_us,
-                "rank": df["rank"],
-            }
-        )
+        ts_us = df[ts_col]
+        if ts_col == "ts":
+            ts_us = ts_us.astype("datetime64[us]").astype("int64")
+        return df.assign(ts_us=ts_us)
 
     if heavy.empty:
-        return coarse_apply(ds, ["user_id"], lambda b: topk(b, ["user_id"], "ts"))
+        return coarse_apply(
+            ds, ["user_id"], lambda b: topk(b, ["user_id"], "ts"), schema
+        )
 
     sliced = _with_heavy_slice(
         ds, heavy["user_id"].to_numpy(np.int64), slice_width_s, "topk-heavy"
@@ -573,10 +554,11 @@ def top_events_per_user(
         sliced,
         ["user_id", "__slice"],
         lambda b: topk(b, ["user_id", "__slice"], "ts"),
+        schema,
     )
     # re-rank the per-slice candidates: ≤ k rows per (user, slice)
     return coarse_apply(
-        cand, ["user_id"], lambda b: topk(b, ["user_id"], "ts_us")
+        cand, ["user_id"], lambda b: topk(b, ["user_id"], "ts_us"), schema
     )
 
 
@@ -593,7 +575,7 @@ def customers_without_orders(sf_dir: str, since: str = "2001-01-01"):
     collected for the broadcast."""
     import ray
 
-    from .util import coarse_dedup
+    from .util import coarse_dedup, collect
 
     lo = pa.scalar(pd.Timestamp(since), type=pa.timestamp("us"))
 
@@ -604,9 +586,15 @@ def customers_without_orders(sf_dir: str, since: str = "2001-01-01"):
         )
 
     orders = tbl(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
-    distinct = coarse_dedup(
-        orders.map_batches(recent_keys, batch_format="pyarrow"), ["o_custkey"]
-    ).to_pandas()
+    schema = pa.schema([("o_custkey", pa.int64())])
+    distinct = collect(
+        coarse_dedup(
+            orders.map_batches(recent_keys, batch_format="pyarrow"),
+            ["o_custkey"],
+            schema,
+        ),
+        schema,
+    )
     keys_ref = ray.put(
         pa.array(np.sort(distinct["o_custkey"].to_numpy()), type=pa.int64())
     )
@@ -700,28 +688,22 @@ def conversation_documents(sf_dir: str):
     ds = ray.data.read_parquet(src, columns=["conv_id", "turn_idx", "text"])
 
     def assemble(bucket: pd.DataFrame) -> pd.DataFrame:
-        if len(bucket) == 0:
-            return pd.DataFrame(
-                {
-                    "conv_id": pd.Series([], dtype=object),
-                    "n_turns": pd.Series([], dtype="int64"),
-                    "full_text": pd.Series([], dtype=object),
-                }
-            )
         df = bucket.sort_values(["conv_id", "turn_idx"], kind="mergesort")
         g = df.groupby("conv_id", sort=False)
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "conv_id": g["conv_id"].first(),
                 "n_turns": g.size(),
                 "full_text": g["text"].agg("\n".join),
             }
         )
-        return out.reset_index(drop=True)
 
     from .util import coarse_apply
 
-    return coarse_apply(ds, ["conv_id"], assemble)
+    schema = pa.schema(
+        [("conv_id", pa.string()), ("n_turns", pa.int64()), ("full_text", pa.string())]
+    )
+    return coarse_apply(ds, ["conv_id"], assemble, schema)
 
 
 def events_sessionize(
@@ -755,16 +737,10 @@ def events_sessionize(
     ds = tbl(sf_dir, "events", columns=["user_id", "ts"])
     heavy = _events_heavy_keys(sf_dir, heavy_threshold)
 
+    cols = ("user_id", "session_start", "session_end", "n_events")
+    schema = pa.schema([(c, pa.int64()) for c in cols])
+
     def sessions(bucket: pd.DataFrame, by: list[str]) -> pd.DataFrame:
-        if len(bucket) == 0:
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series([], dtype="int64"),
-                    "session_start": pd.Series([], dtype="int64"),
-                    "session_end": pd.Series([], dtype="int64"),
-                    "n_events": pd.Series([], dtype="int64"),
-                }
-            )
         df = bucket.sort_values([*by, "ts"], kind="mergesort")
         gaps = df["ts"].diff().dt.total_seconds()
         brk = (gaps > gap_s) | df[by[0]].ne(df[by[0]].shift())
@@ -772,7 +748,7 @@ def events_sessionize(
             brk |= df[b].ne(df[b].shift())
         sid = brk.cumsum()
         g = df.groupby(sid, sort=False)
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "user_id": g["user_id"].first(),
                 # exact integer microseconds: immune to timestamp-unit
@@ -782,10 +758,11 @@ def events_sessionize(
                 "n_events": g.size(),
             }
         )
-        return out.reset_index(drop=True)
 
     if heavy.empty:
-        return coarse_apply(ds, ["user_id"], lambda b: sessions(b, ["user_id"]))
+        return coarse_apply(
+            ds, ["user_id"], lambda b: sessions(b, ["user_id"]), schema
+        )
 
     sliced = _with_heavy_slice(
         ds, heavy["user_id"].to_numpy(np.int64), slice_width_s,
@@ -795,11 +772,10 @@ def events_sessionize(
         sliced,
         ["user_id", "__slice"],
         lambda b: sessions(b, ["user_id", "__slice"]),
+        schema,
     )
 
     def merge_sessions(bucket: pd.DataFrame) -> pd.DataFrame:
-        if len(bucket) == 0:
-            return sessions(bucket, ["user_id"])
         df = bucket.sort_values(
             ["user_id", "session_start", "session_end"], kind="mergesort"
         )
@@ -816,12 +792,12 @@ def events_sessionize(
                 "session_end": g["session_end"].max(),
                 "n_events": g["n_events"].sum(),
             }
-        ).reset_index(drop=True)
+        )
 
     # second pass over SESSION rows: idempotent for light users (their
     # sessions are already gap-separated), merges boundary sessions of
     # sliced heavy users; per-task rows are session counts, not events
-    return coarse_apply(partials, ["user_id"], merge_sessions)
+    return coarse_apply(partials, ["user_id"], merge_sessions, schema)
 
 
 def events_asof_join(
@@ -853,14 +829,16 @@ def events_asof_join(
     )
     heavy = _events_heavy_keys(sf_dir, heavy_threshold)
 
-    def _final(event_id, user_id, value) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "event_id": np.asarray(event_id, dtype=np.int64),
-                "user_id": np.asarray(user_id, dtype=np.int64),
-                "last_purchase_value": np.asarray(value, dtype=np.float64),
-            }
-        )
+    final = pa.schema(
+        [
+            ("event_id", pa.int64()),
+            ("user_id", pa.int64()),
+            ("last_purchase_value", pa.float64()),
+        ]
+    )
+
+    def _final(*cols) -> pd.DataFrame:  # (event_id, user_id, value)
+        return pd.DataFrame(dict(zip(final.names, cols)))
 
     def asof(bucket: pd.DataFrame, by: list[str]) -> pd.DataFrame | None:
         clicks = bucket[bucket["event_type"] == "click"].sort_values(
@@ -891,39 +869,23 @@ def events_asof_join(
                 return _final([], [], [])
             return _final(m["event_id"], m["user_id"], m["value"])
 
-        return coarse_apply(ds, ["user_id"], simple)
+        return coarse_apply(ds, ["user_id"], simple, final)
 
     # --- guarded path: per-(user, slice) asof + two summary passes ---
     sliced = _with_heavy_slice(
         ds, heavy["user_id"].to_numpy(np.int64), slice_width_s, "asof-heavy"
     )
 
-    _kinds = ("m", "u", "p", "q")  # matched / unmatched / slice-last
-    # purchase / slice-needs-resolution
+    # kind: m/u/p/q = matched / unmatched / slice-last purchase /
+    # slice-needs-resolution
+    wide_schema = pa.schema(
+        [("kind", pa.string())]
+        + [(c, pa.int64()) for c in ("event_id", "user_id", "__slice", "ts_us")]
+        + [("value", pa.float64())]
+    )
 
-    def _wide(kind, event_id, user_id, sl, ts_us, value) -> pd.DataFrame:
-        uid = np.asarray(user_id, dtype=np.int64)
-        n = len(uid)
-
-        def arr(x, dt):
-            a = np.asarray(x, dtype=dt)
-            return np.full(n, a, dtype=dt) if a.ndim == 0 else a
-
-        k = (
-            np.full(n, kind, dtype=object)
-            if isinstance(kind, str)
-            else np.asarray(kind, dtype=object)
-        )
-        return pd.DataFrame(
-            {
-                "kind": pd.Series(k, dtype=object),
-                "event_id": arr(event_id, np.int64),
-                "user_id": uid,
-                "__slice": arr(sl, np.int64),
-                "ts_us": arr(ts_us, np.int64),
-                "value": arr(value, np.float64),
-            }
-        )
+    def _wide(*cols) -> pd.DataFrame:  # wide_schema order; scalars broadcast
+        return pd.DataFrame(dict(zip(wide_schema.names, cols)))
 
     def parts(bucket: pd.DataFrame) -> pd.DataFrame:
         outs = []
@@ -966,15 +928,15 @@ def events_asof_join(
     # one materialize: three consumers below would otherwise re-execute
     # the whole asof pass per branch (rows here ≈ click count — the
     # same magnitude the final result holds anyway; spills at scale)
-    wide = coarse_apply(sliced, ["user_id", "__slice"], parts).materialize()
+    wide = coarse_apply(
+        sliced, ["user_id", "__slice"], parts, wide_schema
+    ).materialize()
 
     def resolve(bucket: pd.DataFrame) -> pd.DataFrame:
         """Per user: for each slice flagged 'q', the latest 'p' row of
         any EARLIER slice (own-slice purchases are all later than the
         unmatched clicks by construction). Rows here are per-slice
         summaries — bounded by time range / slice width, not events."""
-        if len(bucket) == 0:
-            return _wide([], [], [], [], [], [])
         # q sorts before p within a slice so the carry never leaks the
         # own-slice purchase into its own slice's resolution; carry ROW
         # POSITIONS (not values) so a purchase whose value is genuinely
@@ -1002,16 +964,16 @@ def events_asof_join(
             "r", 0, df.loc[q, "user_id"], df.loc[q, "__slice"], 0, vals
         )
 
-    def _filt(kinds: set):
-        def f(batch: pd.DataFrame) -> pd.DataFrame:
-            return batch[batch["kind"].isin(kinds)]
+    def _filt(kinds: list):
+        def f(batch: pa.Table) -> pa.Table:
+            return batch.filter(pc.is_in(batch["kind"], pa.array(kinds)))
 
         return f
 
-    pq = wide.map_batches(_filt({"p", "q"}), batch_format="pandas")
-    resolved = coarse_apply(pq, ["user_id"], resolve)
+    pq = wide.map_batches(_filt(["p", "q"]), batch_format="pyarrow")
+    resolved = coarse_apply(pq, ["user_id"], resolve, wide_schema)
 
-    u_rows = wide.map_batches(_filt({"u"}), batch_format="pandas")
+    u_rows = wide.map_batches(_filt(["u"]), batch_format="pyarrow")
 
     def attach(bucket: pd.DataFrame) -> pd.DataFrame:
         u = bucket[bucket["kind"] == "u"]
@@ -1028,14 +990,14 @@ def events_asof_join(
         return _final(m["event_id"], m["user_id"], m["__rv"])
 
     fixed = coarse_apply(
-        u_rows.union(resolved), ["user_id", "__slice"], attach
+        u_rows.union(resolved), ["user_id", "__slice"], attach, final
     )
 
-    def m_final(batch: pd.DataFrame) -> pd.DataFrame:
-        m = batch[batch["kind"] == "m"]
-        return _final(m["event_id"], m["user_id"], m["value"])
+    def m_final(batch: pa.Table) -> pa.Table:
+        m = batch.filter(pc.equal(batch["kind"], "m"))
+        return pa.table([m["event_id"], m["user_id"], m["value"]], schema=final)
 
-    matched = wide.map_batches(m_final, batch_format="pandas")
+    matched = wide.map_batches(m_final, batch_format="pyarrow")
     return matched.union(fixed)
 
 
@@ -1054,7 +1016,8 @@ def distinct_users_per_event_type(sf_dir: str):
         )
 
     pairs = ds.map_batches(local_dedup, batch_format="pyarrow")
-    distinct = coarse_dedup(pairs, ["event_type", "user_id"])
+    schema = pa.schema([("event_type", pa.string()), ("user_id", pa.int64())])
+    distinct = coarse_dedup(pairs, ["event_type", "user_id"], schema)
 
     def partial(batch: pa.Table) -> pa.Table:
         return batch.group_by(["event_type"]).aggregate([("user_id", "count")])

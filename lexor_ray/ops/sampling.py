@@ -40,7 +40,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .util import splitmix64_sql, sql_source as _src, coarse_apply, tbl
+from .util import splitmix64_sql, sql_source as _src, coarse_apply, collect, tbl
 
 #: salt for the second (sampling) hash — xor-ed into doc_id before
 #: splitmix64 so the sampling decision is independent of the split
@@ -198,11 +198,23 @@ def _cap_thresholds_and_rank_offsets(ds, cap: int):
     # ONE all-to-all for both bounded aggregates (composite key;
     # coarse buckets — a per-fine-group body over ~4k groups would be
     # dispatch-bound, see the BENCH crossover table)
-    merged = coarse_apply(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["kind", "source", "bucket"],
-        merge,
-    ).to_pandas()
+    schema = pa.schema(
+        [
+            ("kind", pa.int8()),
+            ("source", pa.string()),
+            ("bucket", pa.int64()),
+            ("val", pa.int64()),
+        ]
+    )
+    merged = collect(
+        coarse_apply(
+            ds.map_batches(partial, batch_format="pyarrow"),
+            ["kind", "source", "bucket"],
+            merge,
+            schema,
+        ),
+        schema,
+    )
     caps = merged[merged["kind"] == 0]
     thresholds = {
         s: int(np.int64(v).view(np.uint64))
@@ -280,11 +292,18 @@ def corpus_sampling(
         g = g.sort_values(["rank_bucket", "hr"], kind="mergesort")
         within = g.groupby("rank_bucket", sort=False).cumcount().to_numpy()
         base = offsets[g["rank_bucket"].to_numpy()]
-        out = g[["doc_id", "split", "sampled", "kept_by_cap"]].copy()
-        out["shuffle_rank"] = (base + within).astype(np.int64)
-        return out
+        return g.assign(shuffle_rank=base + within)
 
-    return coarse_apply(decided, ["rank_bucket"], assign_rank)
+    schema = pa.schema(
+        [
+            ("doc_id", pa.int64()),
+            ("split", pa.string()),
+            ("sampled", pa.bool_()),
+            ("kept_by_cap", pa.bool_()),
+            ("shuffle_rank", pa.int64()),
+        ]
+    )
+    return coarse_apply(decided, ["rank_bucket"], assign_rank, schema)
 
 
 #: salt for the mixture hash — a third independent splitmix64 stream

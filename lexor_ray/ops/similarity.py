@@ -525,13 +525,7 @@ def semdedup(
             for t in range(0, s, chunk):
                 d |= (embs[t : t + chunk] @ e.T >= threshold).any(axis=0)
             dropped[s : s + chunk] = d
-        return pd.DataFrame(
-            {
-                "vec_id": sub["vec_id"].to_numpy(np.int64),
-                "cluster": sub["cluster"].to_numpy(np.int32),
-                "kept": ~dropped,
-            }
-        )
+        return sub[["vec_id", "cluster"]].assign(kept=~dropped)
 
     def prune(g: pd.DataFrame) -> pd.DataFrame:
         # a bucket may hold several clusters: prune each one's vec_id run
@@ -539,7 +533,10 @@ def semdedup(
         by_cluster = g.groupby("cluster", sort=False)
         return pd.concat([prune_cluster(s) for _, s in by_cluster])
 
-    return coarse_apply(assigned, ["cluster"], prune)
+    schema = pa.schema(
+        [("vec_id", pa.int64()), ("cluster", pa.int32()), ("kept", pa.bool_())]
+    )
+    return coarse_apply(assigned, ["cluster"], prune, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +567,6 @@ def _sq8_stats(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
         )
 
     def combine(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
         mn = np.asarray(t["mn"].to_pylist(), dtype=np.float64).min(axis=0)
         mx = np.asarray(t["mx"].to_pylist(), dtype=np.float64).max(axis=0)
         return pa.table({"mn": [mn.tolist()], "mx": [mx.tolist()]})

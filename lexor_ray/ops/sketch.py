@@ -22,7 +22,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .util import coarse_apply, fold_blocks, tbl
+from .util import coarse_apply, collect, fold_blocks, tbl
 
 P = 12  #: 2^12 = 4096 registers, ~1.6% standard error
 M = 1 << P
@@ -128,7 +128,8 @@ def approx_distinct_users(sf_dir: str):
             {"event_type": list(est), "approx_users": list(est.values())}
         )
 
-    return coarse_apply(sketches, ["event_type"], merge).sort("event_type")
+    schema = pa.schema([("event_type", pa.string()), ("approx_users", pa.int64())])
+    return coarse_apply(sketches, ["event_type"], merge, schema).sort("event_type")
 
 
 def distinct_users_exact_and_sketch(sf_dir: str):
@@ -141,8 +142,14 @@ def distinct_users_exact_and_sketch(sf_dir: str):
     materialization."""
     from .relational import distinct_users_per_event_type
 
-    exact = distinct_users_per_event_type(sf_dir).to_pandas()
-    approx = approx_distinct_users(sf_dir).to_pandas()
+    exact = collect(
+        distinct_users_per_event_type(sf_dir),
+        pa.schema([("event_type", pa.string()), ("n_users", pa.int64())]),
+    )
+    approx = collect(
+        approx_distinct_users(sf_dir),
+        pa.schema([("event_type", pa.string()), ("approx_users", pa.int64())]),
+    )
     return exact.merge(approx, on="event_type").sort_values(
         "event_type", ignore_index=True
     )
@@ -203,7 +210,13 @@ def heavy_hitter_terms(sf_dir: str, k: int = 20):
             ["c", "term"], ascending=[False, True], kind="mergesort"
         ).head(k)
 
-    cand = coarse_apply(parts, ["term"], bucket_topk, n_buckets=64)
+    cand = coarse_apply(
+        parts,
+        ["term"],
+        bucket_topk,
+        pa.schema([("term", pa.string()), ("c", pa.int64())]),
+        n_buckets=64,
+    )
 
     def top(t: pa.Table) -> pa.Table:
         return t.sort_by([("c", "descending"), ("term", "ascending")]).slice(0, k)
@@ -212,8 +225,8 @@ def heavy_hitter_terms(sf_dir: str, k: int = 20):
         return pa.table(
             {
                 "rank": pa.array(np.arange(1, t.num_rows + 1, dtype=np.int64)),
-                "term": t["term"].cast(pa.string()),
-                "term_count": t["c"].cast(pa.int64()),
+                "term": t["term"],
+                "term_count": t["c"],
             }
         )
 
@@ -274,8 +287,6 @@ def cms_heavy_hitters(sf_dir: str, k: int = 20, w: int = 1 << 13, cand: int = 64
         """Sum the CMS matrices, union the candidate lists — the driver
         collects ONE folded row, never a per-block list (at 100 TB that
         list is millions of d×w payloads)."""
-        if t.num_rows == 0:
-            return t
         summed = np.zeros(d * w, dtype=np.int64)
         cands: set = set()
         for row in t.to_pylist():
@@ -345,6 +356,14 @@ def _disc_quantiles(v_sorted: np.ndarray, weights: np.ndarray) -> list[float]:
     return out
 
 
+def _quantile_schema(key_col: str, key_type: pa.DataType) -> pa.Schema:
+    """:func:`value_quantile_sketch`'s output: ``(key, mode, q25..q99)``."""
+    return pa.schema(
+        [(key_col, key_type), ("mode", pa.string())]
+        + [(name, pa.float64()) for _, name in QS]
+    )
+
+
 def value_quantile_sketch(
     sf_dir: str,
     sparse_max: int = Q_SPARSE_MAX,
@@ -364,11 +383,13 @@ def value_quantile_sketch(
     Defaults to the events table ``(event_type, event_id, value)``;
     pass ``ds``/``key_col``/``id_col``/``value_col`` to sketch any
     keyed double column (``id_col`` must be a unique int64 — it seeds
-    the deterministic reservoir)."""
+    the deterministic reservoir). The key keeps its type in ``ds``'s
+    schema."""
     from .sampling import splitmix64
 
     if ds is None:
         ds = tbl(sf_dir, "events", columns=[key_col, id_col, value_col])
+    key_type = ds.schema().base_schema.field(key_col).type
 
     def partial(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -406,7 +427,7 @@ def value_quantile_sketch(
         # type comes from the input so non-string keys work too)
         schema = pa.schema(
             [
-                (key_col, batch.schema.field(key_col).type),
+                (key_col, key_type),
                 ("degraded", pa.bool_()),
                 ("vals", pa.list_(pa.float64())),
                 ("cnts", pa.list_(pa.int64())),
@@ -442,7 +463,9 @@ def value_quantile_sketch(
             [merge_key(k, sub) for k, sub in g.groupby(key_col, sort=False)]
         )
 
-    return coarse_apply(sketches, [key_col], merge).sort(key_col)
+    return coarse_apply(
+        sketches, [key_col], merge, _quantile_schema(key_col, key_type)
+    ).sort(key_col)
 
 
 def event_type_sketches(sf_dir: str):
@@ -454,7 +477,9 @@ def event_type_sketches(sf_dir: str):
     sketch tiers are exact at every driver sf (HLL sparse,
     quantile-histogram sparse), making the whole row SQL-checkable."""
     base = distinct_users_exact_and_sketch(sf_dir)
-    quant = value_quantile_sketch(sf_dir).to_pandas().drop(columns=["mode"])
+    quant = collect(
+        value_quantile_sketch(sf_dir), _quantile_schema("event_type", pa.string())
+    ).drop(columns=["mode"])
     return base.merge(quant, on="event_type").sort_values(
         "event_type", ignore_index=True
     )
@@ -489,9 +514,12 @@ def quantile_filter(
     col = next(name for qq, name in QS if abs(q - qq) < 1e-12)
     if ds is None:
         ds = tbl(sf_dir, "documents", columns=[key_col, id_col, value_col])
-    thr_df = value_quantile_sketch(
-        sf_dir, ds=ds, key_col=key_col, id_col=id_col, value_col=value_col
-    ).to_pandas()
+    thr_df = collect(
+        value_quantile_sketch(
+            sf_dir, ds=ds, key_col=key_col, id_col=id_col, value_col=value_col
+        ),
+        _quantile_schema(key_col, ds.schema().base_schema.field(key_col).type),
+    )
     thr_ref = ray.put(
         pd.Series(thr_df[col].to_numpy(), index=thr_df[key_col].to_numpy())
     )

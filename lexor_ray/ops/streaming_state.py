@@ -11,6 +11,7 @@ rows/s).
 from __future__ import annotations
 
 import pandas as pd
+import pyarrow as pa
 
 
 def first_tool_turn_flags(sf_dir: str, src: str | None = None):
@@ -34,12 +35,6 @@ def first_tool_turn_flags(sf_dir: str, src: str | None = None):
     ds = ray.data.read_parquet(src, columns=["conv_id", "turn_idx", "role", "ts"])
 
     def flags(bucket: pd.DataFrame) -> pd.DataFrame:
-        if len(bucket) == 0:
-            return pd.DataFrame(
-                {"conv_id": pd.Series([], dtype=object),
-                 "turn_idx": pd.Series([], dtype="int64"),
-                 "tool_seen_before": pd.Series([], dtype=bool)}
-            )
         df = bucket.sort_values(["conv_id", "ts", "turn_idx"], kind="mergesort")
         is_tool = (df["role"] == "tool").astype("int64")
         # exclusive per-conversation running count of tool turns
@@ -61,4 +56,11 @@ def first_tool_turn_flags(sf_dir: str, src: str | None = None):
     # (conv_id, turn_idx) sort was a data-sized all-to-all whose only
     # purpose was display order; r5 review): the driver compare is
     # order-insensitive and tests sort before positional compare.
-    return coarse_apply(ds, ["conv_id"], flags, n_buckets=64)
+    schema = pa.schema(
+        [
+            ("conv_id", pa.string()),
+            ("turn_idx", pa.int32()),
+            ("tool_seen_before", pa.bool_()),
+        ]
+    )
+    return coarse_apply(ds, ["conv_id"], flags, schema, n_buckets=64)

@@ -471,27 +471,19 @@ def tfidf_top_terms(sf_dir: str, top_k: int = 3, min_df: int = 2, vocab_limit=No
             }
         )
 
-    from .util import coarse_apply
+    from .util import coarse_apply, collect
 
     # document-frequency merge via ONE coarse keyed shuffle + a
     # C-level per-bucket sum (r5 review: sort-based
     # groupby('term').aggregate(Sum) on vocabulary-scale STRING keys
     # is the shape lm.py measured 11× slower than coarse_apply)
     def merge_df(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame(
-                {
-                    "term": pd.Series([], dtype=object),
-                    "df": pd.Series([], dtype="int64"),
-                }
-            )
         m = g.groupby("term", sort=False)["n_sum"].sum()
-        return pd.DataFrame(
-            {"term": m.index.to_numpy(object), "df": m.to_numpy(np.int64)}
-        )
+        return pd.DataFrame({"term": m.index, "df": m.to_numpy()})
 
+    df_schema = pa.schema([("term", pa.string()), ("df", pa.int64())])
     df_ds = coarse_apply(
-        ds.map_batches(doc_terms, batch_format="pyarrow"), ["term"], merge_df
+        ds.map_batches(doc_terms, batch_format="pyarrow"), ["term"], merge_df, df_schema
     )
 
     def keep_min_df(batch: pa.Table) -> pa.Table:
@@ -508,7 +500,7 @@ def tfidf_top_terms(sf_dir: str, top_k: int = 3, min_df: int = 2, vocab_limit=No
     if df_ds.count() > vocab_limit:
         return _tfidf_joined(ds, df_ds, n_docs, top_k)
 
-    df_counts = df_ds.to_pandas()
+    df_counts = collect(df_ds, df_schema)
     # smoothed idf (sklearn-style): strictly positive, so ubiquitous
     # terms can never outrank genuinely distinctive ones. math.log
     # (libm, same as DuckDB's ln) rather than numpy's SIMD log — the
@@ -657,15 +649,6 @@ def _tfidf_joined(ds, df_ds, n_docs: int, top_k: int):
     import math
 
     def score_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        if len(batch) == 0 or "df" not in batch.columns:
-            return pd.DataFrame(
-                {
-                    "source": pd.Series([], dtype=object),
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "term": pd.Series([], dtype=object),
-                    "s": pd.Series([], dtype="float64"),
-                }
-            )
         # idf depends only on df — cache math.log per distinct value
         # (bit-identical to the broadcast tier's math.log)
         idf_by_df = {
@@ -700,15 +683,6 @@ def _tfidf_joined(ds, df_ds, n_docs: int, top_k: int):
         # vocab_limit, i.e. at huge doc cardinality where per-group
         # calls dominate. Within-doc order (s desc, term asc,
         # mergesort-stable) matches the broadcast tier exactly.
-        if len(g) == 0:
-            return pd.DataFrame(
-                {
-                    "source": pd.Series([], dtype=object),
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "term": pd.Series([], dtype=object),
-                    "tfidf": pd.Series([], dtype="float64"),
-                }
-            )
         g = g.sort_values(
             ["doc_id", "s", "term"],
             ascending=[True, False, True],
@@ -724,7 +698,15 @@ def _tfidf_joined(ds, df_ds, n_docs: int, top_k: int):
             }
         )
 
-    return coarse_apply(scored, ["doc_id"], bucket_topk).sort(
+    schema = pa.schema(
+        [
+            ("source", pa.string()),
+            ("doc_id", pa.int64()),
+            ("term", pa.string()),
+            ("tfidf", pa.float64()),
+        ]
+    )
+    return coarse_apply(scored, ["doc_id"], bucket_topk, schema).sort(
         ["source", "doc_id", "term"]
     )
 
@@ -823,13 +805,13 @@ def doc_length_quantiles(sf_dir: str, qs=(0.25, 0.5, 0.75, 0.9, 0.99)):
         )
         return t.group_by(["n"]).aggregate([("n", "count")])
 
-    from .util import fold_keyed
+    from .util import collect, fold_keyed
 
-    counts = (
-        fold_keyed(ds.map_batches(hist, batch_format="pyarrow"), ["n"])
-        .to_pandas()
-        .sort_values("n")
-    )
+    schema = pa.schema([("n", pa.int64()), ("n_count", pa.int64())])
+    counts = collect(
+        fold_keyed(ds.map_batches(hist, batch_format="pyarrow"), ["n"], schema),
+        schema,
+    ).sort_values("n")
     total = int(counts["n_count"].sum())
     cum = counts["n_count"].cumsum().to_numpy()
     lens = counts["n"].to_numpy()

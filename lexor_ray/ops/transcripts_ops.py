@@ -275,8 +275,11 @@ def turns_per_conversation(sf_dir: str):
             }
         )
 
+    schema = pa.schema(
+        [("conv_id", pa.string()), ("total_chars", pa.int64()), ("n_turns", pa.int64())]
+    )
     return fold_keyed(
-        ds.map_batches(partial, batch_format="pyarrow"), ["conv_id"]
+        ds.map_batches(partial, batch_format="pyarrow"), ["conv_id"], schema
     ).sort("conv_id")
 
 
@@ -318,4 +321,9 @@ def exact_dedup_turns(sf_dir: str):
             {k: agg[k] for k in keys} | {"n_copies": agg["turn_idx_count"]}
         )
 
-    return fold_keyed(ds.map_batches(partial, batch_format="pyarrow"), keys).sort(keys)
+    schema = pa.schema(
+        [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("n_copies", pa.int64())]
+    )
+    return fold_keyed(
+        ds.map_batches(partial, batch_format="pyarrow"), keys, schema
+    ).sort(keys)

@@ -14,7 +14,8 @@ Scale-first conventions used across ``lexor_ray.ops``:
   rows with a hash bucket and shuffles on it; ``coarse_dedup``,
   ``bucketed_join``, ``heavy_keys`` and ``fold_keyed`` are its
   callers, so a shuffle strategy or bucket-count change lands in one
-  function.
+  function. Its output is typed by the caller's ``pa.Schema``, and a
+  driver collect of a keyed output goes through ``collect``.
 - **One bounded fold**: a reassociative combine over a small, fixed
   key domain (flag pairs, query ids, k clusters, one global row)
   goes through ``fold_blocks``, the only ``repartition(1)`` in the
@@ -110,16 +111,16 @@ def bucketed_join(
     proportional to num_partitions and deadlocks chained joins on
     small CPU budgets (measured; CLAUDE.md actor-pool rule).
 
-    ``carry`` maps carried left-column name → pyarrow type. Keys may
-    be any hashable dtype (int64, string). ``value_type`` defaults to
+    ``carry`` maps carried left-column name → pyarrow type; the output
+    schema is ``carry`` plus ``out_col: value_type``. Keys may be any
+    hashable dtype (int64, string). ``value_type`` defaults to
     string."""
-    import pandas as pd
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     if value_type is None:
         value_type = pa.string()
     carry_items = list(carry.items())
+    schema = pa.schema([*carry_items, (out_col, value_type)])
 
     # both sides cast to the declared types: a union of blocks whose
     # schemas differ (an int32 source column against value_type=int64)
@@ -143,53 +144,32 @@ def bucketed_join(
         right.map_batches(tag_right, batch_format="pyarrow")
     )
 
-    out_cols = [*carry, out_col]
-
-    def _series(t) -> pd.Series:
-        if pa.types.is_integer(t):
-            return pd.Series([], dtype="int64")
-        if pa.types.is_floating(t):
-            return pd.Series([], dtype="float64")
-        return pd.Series([], dtype=object)
-
-    def _empty() -> pd.DataFrame:
-        data = {c: _series(t) for c, t in carry_items}
-        data[out_col] = _series(value_type)
-        return pd.DataFrame(data)
-
-    def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        left_g = g[g["__side"] == 1]
-        right_g = g[g["__side"] == 0]
-        if len(left_g) == 0 or len(right_g) == 0:
-            return _empty()
-        m = left_g.merge(
-            right_g[["__key", "__value"]].rename(columns={"__value": out_col}),
-            on="__key",
-            how="inner",
+    def resolve(g):
+        right_g = g.loc[g["__side"] == 0, ["__key", "__value"]]
+        m = g[g["__side"] == 1].merge(
+            right_g.rename(columns={"__value": out_col}), on="__key"
         )
-        if len(m) == 0:
-            return _empty()
-        res = m[out_cols].copy()
-        for c, t in carry_items:
-            if pa.types.is_integer(t):
-                res[c] = res[c].astype("int64")
-        if pa.types.is_integer(value_type):
-            res[out_col] = res[out_col].astype("int64")
-        return res
+        return m[schema.names]
 
-    return coarse_apply(tagged, ["__key"], resolve, n_buckets=n_buckets)
+    return coarse_apply(tagged, ["__key"], resolve, schema, n_buckets=n_buckets)
 
 
-def coarse_apply(ds, keys: list[str], fn, n_buckets: int = 256):
+def coarse_apply(ds, keys: list[str], fn, schema: pa.Schema, n_buckets: int = 256):
     """Apply a VECTORIZED pandas function per coarse hash bucket of
     ``keys``: shuffle on ``hash(keys) % n_buckets``, call ``fn`` once
     per bucket with all of that bucket's rows (every fine key's rows
     colocated). There is no per-fine-group Python call at all — ``fn``
     is expected to handle the whole bucket with pandas
     groupby/transform kernels. The right shape for per-key ordered
-    analytics over millions of tiny keys."""
+    analytics over millions of tiny keys.
+
+    Output contract: every non-empty block is an arrow table of
+    exactly ``schema``. ``fn`` returns a pandas frame whose columns
+    include ``schema.names`` (extra columns are dropped, dtypes are
+    converted here), and may return any empty frame. Ray never calls
+    ``fn`` on an empty bucket; an all-empty result still has no schema
+    inside Ray, so a driver collect goes through :func:`collect`."""
     import pandas as pd
-    import pyarrow as pa
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         # hash only the key columns: converting the whole batch to
@@ -199,14 +179,28 @@ def coarse_apply(ds, keys: list[str], fn, n_buckets: int = 256):
             "__bucket", pa.array((h % n_buckets).astype("int32"))
         )
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return fn(g.drop(columns="__bucket"))
+    def per_bucket(g: pd.DataFrame) -> pa.Table:
+        out = fn(g.drop(columns="__bucket"))
+        if len(out) == 0:
+            return schema.empty_table()
+        # no pandas metadata: Ray hashes block schemas to dedupe them,
+        # and a metadata dict is unhashable
+        t = pa.Table.from_pandas(out, schema=schema, preserve_index=False)
+        return t.replace_schema_metadata()
 
     bucketed = ds.map_batches(add_bucket, batch_format="pyarrow")
     return bucketed.groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
 
 
-def heavy_keys(ds, key: str, threshold: int):
+def collect(ds, schema: pa.Schema):
+    """Driver collect of a keyed-primitive output as a pandas frame:
+    the typed empty frame of ``schema`` when Ray dropped every block
+    (an all-empty result carries no schema inside Ray)."""
+    out = ds.to_pandas()
+    return out if len(out.columns) else schema.empty_table().to_pandas()
+
+
+def heavy_keys(ds, key: str, key_type: pa.DataType, threshold: int):
     """Distributed heavy-key pre-count (r3 verdict item 3): the keys
     whose GLOBAL row count is at least ``threshold``, as a tiny pandas
     frame ``(key, n)``. One column-pruned scan emits a per-batch
@@ -216,9 +210,9 @@ def heavy_keys(ds, key: str, threshold: int):
     construction — at most ``total_rows / threshold`` keys survive —
     so this is safe to run before any per-key operator to decide
     whether its hot keys need time-sliced salting."""
-    import pandas as pd
-    import pyarrow as pa
     import pyarrow.compute as pc
+
+    schema = pa.schema([(key, key_type), ("n", pa.int64())])
 
     def partial(batch: pa.Table) -> pa.Table:
         # arrow-native count: no pandas round-trip, no sort — this
@@ -232,31 +226,25 @@ def heavy_keys(ds, key: str, threshold: int):
             }
         )
 
-    def agg(g: pd.DataFrame) -> pd.DataFrame:
+    def agg(g):
         s = g.groupby(key, sort=False)["n"].sum().reset_index()
         return s[s["n"] >= threshold]
 
-    out = coarse_apply(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        [key],
-        agg,
-        n_buckets=64,
-    ).to_pandas()
-    if key not in out.columns:
-        # all-empty buckets lose the schema (Ray drops empty blocks)
-        out = pd.DataFrame({key: pd.Series([], dtype="int64"),
-                            "n": pd.Series([], dtype="int64")})
-    return out
+    parts = ds.map_batches(partial, batch_format="pyarrow")
+    return collect(coarse_apply(parts, [key], agg, schema, n_buckets=64), schema)
 
 
-def coarse_dedup(ds, keys: list[str]):
+def coarse_dedup(ds, keys: list[str], schema: pa.Schema):
     """Distributed drop-duplicates on ``keys``: one ``coarse_apply``
     with a vectorized ``drop_duplicates`` per bucket (every copy of a
-    key lands in one bucket)."""
-    return coarse_apply(ds, keys, lambda g: g.drop_duplicates(keys), n_buckets=64)
+    key lands in one bucket). ``schema`` is the input's, which the
+    output keeps."""
+    return coarse_apply(
+        ds, keys, lambda g: g.drop_duplicates(keys), schema, n_buckets=64
+    )
 
 
-def fold_keyed(parts, keys: list[str], aggs: dict | None = None):
+def fold_keyed(parts, keys: list[str], schema: pa.Schema, aggs: dict | None = None):
     """Keyed fold for UNBOUNDED key domains (order keys, content
     hashes, conversations) — the twin of :func:`fold_bounded`, with
     the same ``aggs`` contract: every non-key column is folded with
@@ -267,15 +255,14 @@ def fold_keyed(parts, keys: list[str], aggs: dict | None = None):
     form their own group, as in SQL ``GROUP BY``.
 
     Feed it per-batch partials (one row per key per batch) — the
-    shuffle then moves at most one row per (key, batch). Output is
-    unordered; an all-empty input yields a schemaless dataset (Ray
-    drops empty blocks before the per-bucket call)."""
+    shuffle then moves at most one row per (key, batch). ``schema`` is
+    the partials', which the output keeps. Output is unordered."""
 
     def fold(g):
         kind = {c: (aggs or {}).get(c, "sum") for c in g.columns if c not in keys}
         return g.groupby(keys, sort=False, dropna=False).agg(kind).reset_index()
 
-    return coarse_apply(parts, keys, fold, n_buckets=64)
+    return coarse_apply(parts, keys, fold, schema, n_buckets=64)
 
 
 def sql_source(table_or_path: str) -> str:
@@ -303,10 +290,7 @@ def fold_blocks(parts, combine, finish=None):
     rows of ``combine`` × ``_FAN_IN``, so use this only when that is
     small by construction (a fixed key domain: flag pairs, query ids,
     k clusters); anything else goes through :func:`coarse_apply`.
-
-    Limitation: an ALL-empty input yields an empty dataset with NO
-    schema (Ray's repartition drops empty blocks before combine
-    runs)."""
+    Ray never calls ``combine`` or ``finish`` on an empty block."""
 
     def last(t: pa.Table) -> pa.Table:
         t = combine(t)

@@ -85,7 +85,7 @@ def bot_events(tmp_path_factory):
 
 def test_heavy_precount_flags_exactly_the_bot(ray_session, bot_events):
     h = heavy_keys(
-        tbl(bot_events, "events", columns=["user_id"]), "user_id", THRESH
+        tbl(bot_events, "events", columns=["user_id"]), "user_id", pa.int64(), THRESH
     )
     assert h["user_id"].tolist() == [BOT]
     assert int(h["n"].iloc[0]) == 5018  # 5000 + 18 planted NaN pairs

@@ -94,7 +94,7 @@ def test_embedding_neardup_finds_planted_pairs(ray_session):
         noisy = base[j] + 0.01 * rng.standard_normal(64).astype(np.float32)
         rows.append({"vec_id": 100 + j, "embedding": noisy.tolist()})
     ds = ray.data.from_items(rows)
-    got = embedding_neardup("unused", threshold=0.95, ds=ds).to_pandas()
+    got = embedding_neardup("unused", threshold=0.95, ds=ds)
     found = set(zip(got["a"], got["b"]))
     for j in range(5):
         assert (j, 100 + j) in found, (j, found)
@@ -664,7 +664,7 @@ def test_embedding_neardup_banded_autosize(ray_session):
     ds = ray.data.from_items(
         [{"vec_id": i, "embedding": v.tolist()} for i, v in enumerate(vecs)]
     )
-    got = df(embedding_neardup(None, threshold=0.95, ds=ds))
+    got = embedding_neardup(None, threshold=0.95, ds=ds)
     found = set(zip(got["a"], got["b"]))
     for i in range(5):
         assert (i, 200 + i) in found
@@ -911,12 +911,14 @@ def test_embedding_features_matches_standalone(ray_session):
 
 
 def test_fold_bounded_kernels_and_empty(ray_session):
-    """fold_bounded: sum/min/max spec applies at both levels; an
-    all-filtered (empty) input folds to an empty, schema-stable
-    result."""
+    """fold_bounded: sum/min/max spec applies at both levels; a mostly
+    filtered input folds its surviving rows; an all-filtered (empty)
+    input collects as the declared schema."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
     import ray.data
 
-    from lexor_ray.ops.util import fold_bounded
+    from lexor_ray.ops.util import collect, fold_bounded
 
     rows = [
         {"k": "a", "s": 1, "lo": 5, "hi": 2},
@@ -933,11 +935,22 @@ def test_fold_bounded_kernels_and_empty(ray_session):
     assert out.loc["a", "lo"] == 3 and out.loc["a", "hi"] == 9
     assert list(out.index) == ["a", "b"]  # sorted by key
 
-    # an ALL-empty input folds to an empty result without crashing
-    # (Ray's repartition drops empty blocks, so the schema is lost —
-    # documented limitation; the call sites aggregate non-empty tables)
+    # most blocks filtered to zero rows: combine never sees them
+    few = ds.map_batches(
+        lambda t: t.filter(pc.equal(t["k"], "b")), batch_format="pyarrow"
+    )
+    assert fold_bounded(few, ["k"]).take_all() == [
+        {"k": "b", "s": 40, "lo": 28, "hi": 28}
+    ]
+
+    # an ALL-empty input: Ray drops every block, and collect restores
+    # the declared schema
     empty = ds.map_batches(lambda t: t.slice(0, 0), batch_format="pyarrow")
-    assert len(fold_bounded(empty, ["k"]).to_pandas()) == 0
+    schema = pa.schema(
+        [("k", pa.string())] + [(c, pa.int64()) for c in ("s", "lo", "hi")]
+    )
+    got = collect(fold_bounded(empty, ["k"]), schema)
+    assert len(got) == 0 and list(got.columns) == schema.names
 
 
 def test_decontaminate_ngram_tier_planted(ray_session, tmp_path):
@@ -1150,12 +1163,18 @@ def _dedup_input(n: int = 600) -> pd.DataFrame:
 
 @pytest.mark.parametrize("keys", [["k"], ["s"], ["s", "v"]])
 def test_coarse_dedup_matches_pandas(ray_session, keys):
+    import pyarrow as pa
     import ray.data
 
     from lexor_ray.ops.util import coarse_dedup
 
     src = _dedup_input()
-    got = df(coarse_dedup(ray.data.from_pandas([src.iloc[i::4] for i in range(4)]), keys))
+    schema = pa.Schema.from_pandas(src, preserve_index=False)
+    got = df(
+        coarse_dedup(
+            ray.data.from_pandas([src.iloc[i::4] for i in range(4)]), keys, schema
+        )
+    )
     want = src.drop_duplicates(keys)
     assert len(got) == len(want)
     pd.testing.assert_frame_equal(
@@ -1259,6 +1278,201 @@ def test_bucketed_join_casts_to_declared_types(ray_session):
 SF001 = str(pathlib.Path(SF).parent / "sf0.01")
 
 
+def _non_empty_schema_drift(run) -> list[str]:
+    """Run ``run()`` and return the "different schema" warnings Ray
+    logs whose NEW schema is non-empty (an empty sort partition's
+    schemaless block logs one with an empty new schema; that one is
+    Ray's, not a type drift)."""
+    import logging
+    import re
+
+    seen: list[str] = []
+
+    class Grab(logging.Handler):
+        def emit(self, record):
+            seen.append(record.getMessage())
+
+    log = logging.getLogger("ray.data._internal.execution.streaming_executor_state")
+    grab = Grab(level=logging.WARNING)
+    log.addHandler(grab)
+    try:
+        run()
+    finally:
+        log.removeHandler(grab)
+    new = re.compile(r"new schema: (.*?)\. This may lead", re.S)
+    return [
+        m for m in seen if "different schema" in m and new.search(m).group(1).strip()
+    ]
+
+
+def test_udfs_never_see_empty_batches(ray_session):
+    """Ray hands no empty batch to a pandas or pyarrow ``map_batches``
+    UDF, and ``coarse_apply`` never calls ``fn`` on an empty bucket,
+    even when most blocks are filtered to zero rows: every UDF here
+    raises on zero rows. The package's UDFs carry no empty-input
+    guards because of this."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray.data
+
+    from lexor_ray.ops.util import coarse_apply
+
+    def nonempty(n: int) -> None:
+        if n == 0:
+            raise AssertionError("UDF called with zero rows")
+
+    def keep_few(t: pa.Table) -> pa.Table:
+        return t.filter(pc.less(t["id"], 30))  # 1 of 10 blocks keeps rows
+
+    def pandas_udf(b: pd.DataFrame) -> pd.DataFrame:
+        nonempty(len(b))
+        return b.assign(k=b["id"] % 3)
+
+    def arrow_udf(t: pa.Table) -> pa.Table:
+        nonempty(t.num_rows)
+        return t
+
+    def fn(g: pd.DataFrame) -> pd.DataFrame:
+        nonempty(len(g))
+        return g
+
+    few = (
+        ray.data.range(1000, override_num_blocks=10)
+        .map_batches(keep_few, batch_format="pyarrow", batch_size=None)
+        .materialize()
+    )
+    assert few.num_blocks() == 10
+    out = coarse_apply(
+        few.map_batches(pandas_udf, batch_format="pandas").map_batches(
+            arrow_udf, batch_format="pyarrow"
+        ),
+        ["k"],
+        fn,
+        pa.schema([("id", pa.int64()), ("k", pa.int64())]),
+    )
+    assert sorted(out.to_pandas()["id"]) == list(range(30))
+
+
+def test_keyed_primitives_type_all_empty_input(ray_session):
+    """An all-empty input through each keyed primitive — including a
+    string key — collects as ``schema.empty_table()``'s columns and
+    dtypes: Ray drops every block, and ``collect`` restores the
+    declared schema."""
+    import pyarrow as pa
+    import ray.data
+
+    from lexor_ray.ops.util import (
+        bucketed_join,
+        coarse_apply,
+        coarse_dedup,
+        collect,
+        fold_keyed,
+        heavy_keys,
+    )
+
+    src = pa.table({"s": ["a", "b", "c"], "v": pa.array([1, 2, 3], pa.int32())})
+    empty = ray.data.from_arrow([src, src]).map_batches(
+        lambda t: t.slice(0, 0), batch_format="pyarrow"
+    )
+    schema = src.schema
+
+    def typed(frame: pd.DataFrame, want: pa.Schema) -> None:
+        expect = want.empty_table().to_pandas()
+        assert len(frame) == 0
+        assert list(frame.columns) == want.names
+        assert frame.dtypes.to_dict() == expect.dtypes.to_dict()
+
+    typed(collect(coarse_apply(empty, ["s"], lambda g: g, schema), schema), schema)
+    typed(collect(coarse_dedup(empty, ["s"], schema), schema), schema)
+    typed(collect(fold_keyed(empty, ["s"], schema), schema), schema)
+    joined = pa.schema([("s", pa.string()), ("w", pa.int64())])
+    typed(
+        collect(
+            bucketed_join(
+                empty,
+                empty,
+                key_col="s",
+                right_key="s",
+                value_col="v",
+                out_col="w",
+                carry={"s": pa.string()},
+                value_type=pa.int64(),
+            ),
+            joined,
+        ),
+        joined,
+    )
+    typed(
+        heavy_keys(empty, "s", pa.string(), 1),
+        pa.schema([("s", pa.string()), ("n", pa.int64())]),
+    )
+
+
+def test_coarse_apply_types_drifting_fn_output(ray_session):
+    """``fn`` returning int32 in some buckets, int64 in others and an
+    empty object-typed frame in the rest still yields ONE block type:
+    every non-empty output block is an arrow table of the declared
+    schema, and Ray logs no "different schema" warning with a
+    non-empty new schema."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from lexor_ray.ops.util import coarse_apply
+
+    src = pd.DataFrame({"k": np.arange(60, dtype="int64") % 30})
+    src["v"] = src["k"] * 10
+
+    def fn(g: pd.DataFrame) -> pd.DataFrame:
+        kind = g["k"].min() % 3
+        if kind == 0:
+            return g.astype({"v": "int32"})
+        if kind == 1:
+            return g
+        return pd.DataFrame({"k": pd.Series([], dtype=object), "v": []})
+
+    # the bucket of each key, as coarse_apply tags it: all three kinds
+    # of fn output occur
+    bucket = pd.util.hash_pandas_object(src[["k"]], index=False) % 8
+    kind = src.groupby(bucket)["k"].transform("min") % 3
+    assert set(kind) == {0, 1, 2}
+
+    schema = pa.schema([("k", pa.int64()), ("v", pa.int64())])
+    blocks: list = []
+
+    def run():
+        out = coarse_apply(
+            ray.data.from_pandas([src.iloc[i::3] for i in range(3)]),
+            ["k"],
+            fn,
+            schema,
+            n_buckets=8,
+        )
+        for bundle in out.iter_internal_ref_bundles():
+            blocks.extend(ray.get(bundle.block_refs))
+
+    assert _non_empty_schema_drift(run) == []
+    rows = [b for b in blocks if len(b)]
+    assert all(isinstance(b, pa.Table) and b.schema == schema for b in rows)
+    got = pa.concat_tables(rows).to_pandas().sort_values(["k", "v"], ignore_index=True)
+    want = src[kind != 2].sort_values(["k", "v"], ignore_index=True)
+    pd.testing.assert_frame_equal(got, want)
+
+
+def test_customers_without_orders_when_no_recent_order(ray_session):
+    """With no order on or after ``since`` the recent-key dedup comes
+    back empty, and every customer is an answer."""
+    import pyarrow.parquet as pq
+
+    from lexor_ray.ops.relational import customers_without_orders
+
+    got = df(customers_without_orders(SF001, since="2100-01-01"))
+    want = pq.read_table(f"{SF001}/customer.parquet", columns=["c_custkey"])
+    assert sorted(got["c_custkey"]) == sorted(want["c_custkey"].to_pylist())
+
+
+
+
 def _sf001_oracle(name: str, tables: tuple) -> pd.DataFrame:
     """``__ray_entry__.oracle_sql()[name]`` over views of the sf0.01
     tables it reads."""
@@ -1297,6 +1511,7 @@ def test_fold_keyed_matches_pandas(ray_session, keys):
     default, min where ``aggs`` asks, over int64 keys, uint64 keys
     above 2^63, string keys and a two-column key, fed as several
     blocks so a key's rows arrive from more than one."""
+    import pyarrow as pa
     import ray.data
 
     from lexor_ray.ops.util import fold_keyed
@@ -1316,6 +1531,7 @@ def test_fold_keyed_matches_pandas(ray_session, keys):
         fold_keyed(
             ray.data.from_pandas([src.iloc[i::5] for i in range(5)]),
             keys,
+            pa.Schema.from_pandas(src, preserve_index=False),
             aggs={"w": "min"},
         )
     )

@@ -65,6 +65,28 @@ def test_corpus_sampling_matches_local_recompute(ray_session):
     assert list(got["shuffle_rank"]) == list(want_rank[order])
 
 
+def test_corpus_sampling_empty_input(ray_session, tmp_path):
+    """A documents table with no rows: the cap/rank pre-aggregate
+    collects a typed empty table, and the operator returns no rows
+    instead of failing on a missing column."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from lexor_ray.ops.sampling import corpus_sampling
+
+    pq.write_table(
+        pa.table(
+            {
+                "doc_id": pa.array([], pa.int64()),
+                "lang": pa.array([], pa.string()),
+                "source": pa.array([], pa.string()),
+            }
+        ),
+        tmp_path / "documents.parquet",
+    )
+    assert corpus_sampling(str(tmp_path)).take_all() == []
+
+
 def test_corpus_sampling_split_proportions(ray_session):
     from lexor_ray.ops.sampling import corpus_sampling
 
