@@ -253,14 +253,9 @@ def _resolve_window_key(sf_dir: str, k: int, key: str) -> str:
     ~n²/2⁶⁴, measured 7.3× on the explode kernel)."""
     if key != "auto":
         return key
-    import os
+    from .util import column_bytes
 
-    import pyarrow.parquet as pq
-
-    from .dedup import _mean_text_bytes
-
-    md = pq.ParquetFile(os.path.join(sf_dir, "documents.parquet")).metadata
-    est = _mean_text_bytes(sf_dir) * md.num_rows * k
+    est = column_bytes(sf_dir, "documents", "text") * k
     return "hash" if est > _WINDOW_BYTE_LIMIT else "text"
 
 

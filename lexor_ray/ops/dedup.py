@@ -5,21 +5,25 @@ Ray-Data-first:
 
 - exact: content hash → one keyed fold (``fold_keyed``) → min doc_id
   and copy count per hash
-- MinHash + LSH: shingle → minhash signature → band → bucket groupby
-  → candidate pairs → exact-Jaccard verify
-- SimHash: 64-bit signature, Hamming-distance candidates via 4-band
-  exact-match buckets
+- MinHash + LSH: shingle → minhash signature → 16 band keys →
+  :func:`band_pairs` → candidate pairs → exact-Jaccard verify
+- SimHash: 64-bit signature, Hamming-distance candidates from 4 16-bit
+  band keys → :func:`band_pairs` with a popcount verify
 - n-gram Jaccard: the verify kernel, also exposed directly
-- embedding cosine near-dup: sign-LSH buckets over the embeddings
-  table → within-bucket cosine verify
+- embedding cosine near-dup: sign-LSH band keys over the embeddings
+  table → :func:`band_pairs` with a cosine verify
 
 Signatures are computed vectorized per batch (numpy over tokenized
-arrays); the only wide ops are the bucket groupbys, whose keys are
-engineered to be small (band hashes), never raw text.
+arrays) and exploded to one ``(id, band_id, band_key, …)`` row per
+band (:func:`_band_rows`). The three LSH families share one pair
+expansion, :func:`band_pairs`: one keyed shuffle on the small
+``(band_id, band_key)`` key, never raw text, and one stacked
+``triu_indices`` per group-size class in each bucket.
 """
 
 from __future__ import annotations
 
+import logging
 
 import numpy as np
 import pandas as pd
@@ -27,6 +31,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .util import collect, tbl
+
+_LOG = logging.getLogger("lexor_ray.dedup")
 
 # ---------------------------------------------------------------------------
 # exact
@@ -100,12 +106,94 @@ def exact_dedup_all(sf_dir: str):
             }
         )
 
-    u = exact_dedup(sf_dir).map_batches(tag_docs, batch_format="pyarrow").union(
+    return exact_dedup(sf_dir).map_batches(tag_docs, batch_format="pyarrow").union(
         exact_dedup_turns(sf_dir).map_batches(tag_turns, batch_format="pyarrow")
     )
-    # identity pyarrow pass: a union can mix pandas/arrow blocks, which
-    # crashes the sort sampler downstream (CLAUDE.md rule)
-    return u.map_batches(lambda t: t, batch_format="pyarrow")
+
+
+# ---------------------------------------------------------------------------
+# LSH band pairs: the one pair expansion of MinHash, SimHash and
+# embedding near-dup
+
+
+def _band_rows(id_col: str, ids: np.ndarray, keys: np.ndarray, **carry) -> pa.Table:
+    """Band-major explode of ``n`` items into ``B * n`` rows
+    ``(id_col, band_id, band_key, *carry)``: row ``b * n + i`` is item
+    ``i`` in band ``b``, keyed ``keys[b, i]`` (``keys`` is ``(B, n)``).
+    Each carried arrow column repeats once per band."""
+    n_bands, n = keys.shape
+    cols = {
+        id_col: pa.array(np.tile(ids, n_bands), type=pa.int64()),
+        "band_id": pa.array(np.repeat(np.arange(n_bands, dtype=np.int32), n)),
+        "band_key": pa.array(keys.reshape(-1), type=pa.uint64()),
+    }
+    for name, col in carry.items():
+        cols[name] = pa.chunked_array(col.chunks * n_bands, type=col.type)
+    return pa.table(cols)
+
+
+def band_pairs(rows, id_col: str, schema: pa.Schema, cap: int, oversized, verify=None):
+    """All (a, b) id pairs, a < b, that share a ``(band_id, band_key)``
+    group of ``rows`` — the one LSH pair expansion. ``rows`` holds
+    ``(id_col, band_id, band_key, …payload)``. One ``coarse_apply``
+    shuffle colocates each group, and a bucket is expanded with NO
+    per-group Python call: duplicate (band, key, id) rows are dropped,
+    rows are sorted once, and the groups of each size s ≥ 2 are
+    stacked into one ``(n_groups, s)`` id matrix (LSH groups are
+    overwhelmingly size 2–3, so there are few size classes).
+    Per-group dispatch is the measured bottleneck of this shape
+    (BENCH/BASELINE.md crossover table).
+
+    - s ≤ ``cap``: one ``triu_indices`` expansion per size class.
+      Without ``verify`` every pair is kept; otherwise
+      ``verify(stacked_rows, s, ii, jj)`` returns ``(vals, keep)``,
+      both ``(n_groups, n_pairs)``, and the kept ``vals`` become
+      ``schema``'s third column.
+    - s > ``cap``: ``oversized(ids_matrix, stacked_rows)`` returns the
+      size class's pairs as a frame of ``schema``'s columns.
+
+    ``stacked_rows`` are the size class's rows in group order (row
+    ``g * s + t`` is member ``t`` of group ``g``). A pair that collides
+    in several bands repeats once per band."""
+    from .util import coarse_apply
+
+    group = ["band_id", "band_key"]
+
+    def expand(bucket: pd.DataFrame) -> pd.DataFrame:
+        df = bucket.drop_duplicates(group + [id_col]).sort_values(
+            group + [id_col], kind="mergesort"
+        )
+        change = (
+            df["band_id"].ne(df["band_id"].shift())
+            | df["band_key"].ne(df["band_key"].shift())
+        ).to_numpy()
+        gid = np.cumsum(change) - 1
+        sizes = np.bincount(gid)[gid]
+        ids = df[id_col].to_numpy().astype(np.int64)
+        outs = []
+        for s in np.unique(sizes[sizes >= 2]):
+            mask = sizes == s
+            mat = ids[mask].reshape(-1, s)  # rows are sorted within group
+            if s > cap:
+                outs.append(oversized(mat, df[mask]))
+                continue
+            ii, jj = np.triu_indices(s, k=1)
+            if verify is None:
+                outs.append({"a": mat[:, ii].reshape(-1), "b": mat[:, jj].reshape(-1)})
+                continue
+            vals, keep = verify(df[mask], s, ii, jj)
+            gi, pi = np.nonzero(keep)  # gather only the kept pairs
+            a, b = mat[gi, ii[pi]], mat[gi, jj[pi]]
+            outs.append({"a": a, "b": b, schema.names[2]: vals[gi, pi]})
+        if not outs:
+            return pd.DataFrame()
+        # one frame per bucket, not per size class: frame construction
+        # and concat dominate a bucket of small groups
+        return pd.DataFrame(
+            {c: np.concatenate([out[c] for out in outs]) for c in schema.names}
+        )
+
+    return coarse_apply(rows, group, expand, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -266,28 +354,20 @@ class MinHashSignatures:
         self.rows = num_perm // bands
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
         n = batch.num_rows
         sigs = _batch_minhash_sigs(batch.column("text"), self.k, self.a, self.b)
         # vectorized FNV-1a fold over each band's rows → one uint64
-        # key per (doc, band); no per-doc Python hashing.
+        # key per (band, doc); no per-doc Python hashing.
         prime = np.uint64(1099511628211)
-        band_keys = np.empty((n, self.bands), dtype=np.uint64)
+        band_keys = np.empty((self.bands, n), dtype=np.uint64)
         with np.errstate(over="ignore"):
             for bi in range(self.bands):
                 h = np.full(n, 14695981039346656037, dtype=np.uint64)
                 for r in range(self.rows):
                     h = (h ^ sigs[:, bi * self.rows + r]) * prime
-                band_keys[:, bi] = h
-        return pa.table(
-            {
-                "doc_id": pa.array(np.repeat(ids, self.bands), type=pa.int64()),
-                "band_id": pa.array(
-                    np.tile(np.arange(self.bands, dtype=np.int32), n)
-                ),
-                "band_hash": pa.array(band_keys.reshape(-1), type=pa.uint64()),
-            }
-        )
+                band_keys[bi] = h
+        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
+        return _band_rows("doc_id", ids, band_keys)
 
 
 def _minhash_batches(batch, num_perm: int, bands: int):
@@ -300,19 +380,13 @@ def _minhash_batches(batch, num_perm: int, bands: int):
     return fn(batch)
 
 
-def minhash_lsh_candidates(
-    sf_dir: str, num_perm: int = 64, bands: int = 16, dedup_pairs: bool = True
-):
+def minhash_lsh_candidates(sf_dir: str, num_perm: int = 64, bands: int = 16):
     """MinHash-LSH candidate pairs: signature stage (per-worker cache,
-    ``ops/util.cached``) →
-    explode to (band_id, band_hash, doc_id) → bucket groupby → pairs.
-    Returns unique candidate (a, b) pairs with a < b.
-
-    ``dedup_pairs=False`` skips the cross-band pair dedup shuffle and
-    returns pairs that may repeat (once per colliding band) — the
-    verify pipeline dedups them inside its size-adaptive tier instead
-    (driver ``drop_duplicates`` on the measured-small tier), saving a
-    whole all-to-all on the hot path."""
+    ``ops/util.cached``) → one (doc_id, band_id, band_key) row per
+    band → :func:`band_pairs`. Returns (a, b) pairs with a < b; a pair
+    that collides in several bands repeats once per band — both verify
+    tiers of :func:`_pairs_with_jaccard` dedup it, so the candidate
+    stage pays no dedup shuffle of its own."""
     import functools
 
     ds = tbl(sf_dir, "documents", columns=["doc_id", "text"])
@@ -320,18 +394,7 @@ def minhash_lsh_candidates(
         functools.partial(_minhash_batches, num_perm=num_perm, bands=bands),
         batch_format="pyarrow",
     )
-
-    from .util import coarse_apply, coarse_dedup
-
-    cand = coarse_apply(
-        sigs, ["band_id", "band_hash"], _bucket_pair_expansion, _PAIRS
-    )
-    if not dedup_pairs:
-        return cand
-    # dedup pairs found in multiple bands (vectorized coarse dedup);
-    # NOT sorted here — order is cosmetic and a global sort is a whole
-    # extra all-to-all; consumers sort their own final output
-    return coarse_dedup(cand, ["a", "b"], _PAIRS)
+    return band_pairs(sigs, "doc_id", _PAIRS, _BUCKET_STAR_CAP, _star_pairs)
 
 
 #: candidate pair schema: (a, b) doc ids, a < b
@@ -340,7 +403,7 @@ _PAIRS = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 #: LSH bucket size above which pair expansion emits a STAR to the
 #: bucket's min doc_id instead of the full O(k²) triu — a
 #: duplicate-heavy corpus (the 100-TB tier) can put thousands of
-#: near-identical documents in one (band_id, band_hash) bucket, and
+#: near-identical documents in one (band_id, band_key) bucket, and
 #: the full expansion would OOM the worker and explode the candidate
 #: set. The star preserves connectivity for clustering (same strategy
 #: as the simhash clique_cap). Never triggers at test scale, so
@@ -348,59 +411,22 @@ _PAIRS = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 _BUCKET_STAR_CAP = 1024
 
 
-def _bucket_pair_expansion(bucket: pd.DataFrame) -> pd.DataFrame:
-    """All (a, b) pairs within each (band_id, band_hash) fine group of
-    a coarse bucket, with NO per-group Python call: rows are sorted
-    once, fine groups of the SAME size are stacked into one matrix and
-    pair-expanded with a single ``triu_indices`` per size class
-    (LSH buckets are overwhelmingly size 2–3, so there are only a
-    handful of classes). Per-group dispatch was the measured bottleneck
-    of the previous shape (BENCH/BASELINE.md crossover table).
-    Groups larger than ``_BUCKET_STAR_CAP`` emit a min-doc_id star
-    (O(k) pairs, connectivity preserved) instead of the full triu."""
-    df = bucket.drop_duplicates(["band_id", "band_hash", "doc_id"]).sort_values(
-        ["band_id", "band_hash", "doc_id"], kind="mergesort"
+def _star_pairs(mat: np.ndarray, rows: pd.DataFrame) -> pd.DataFrame:
+    """MinHash's oversized-group fallback: a star from each group's
+    (sorted-first = min) doc_id to the rest of the group. LOGGED
+    because above the cap the emitted pair set is connectivity-only,
+    no longer the exact all-pairs set (minhash_dedup documents this
+    degradation)."""
+    n_groups, s = mat.shape
+    _LOG.warning(
+        "LSH star-cap engaged: %d bucket(s) of size %d emit "
+        "min-id stars (cap=%d); in-bucket candidate pairs are "
+        "connectivity-only at this duplicate density",
+        n_groups,
+        s,
+        _BUCKET_STAR_CAP,
     )
-    change = (
-        df["band_id"].ne(df["band_id"].shift())
-        | df["band_hash"].ne(df["band_hash"].shift())
-    ).to_numpy()
-    gid = np.cumsum(change) - 1
-    ids = df["doc_id"].to_numpy().astype(np.int64)
-    counts = np.bincount(gid)
-    sizes = counts[gid]
-    out_a, out_b = [], []
-    for s in np.unique(sizes):
-        if s < 2:
-            continue
-        mask = sizes == s
-        mat = ids[mask].reshape(-1, s)  # rows are sorted within group
-        if s > _BUCKET_STAR_CAP:
-            # star to the (sorted-first = min) doc_id per group —
-            # LOGGED because above the cap the emitted pair set is
-            # connectivity-only, no longer the exact all-pairs set
-            # (minhash_dedup documents this degradation)
-            import logging
-
-            logging.getLogger("lexor_ray.dedup").warning(
-                "LSH star-cap engaged: %d bucket(s) of size %d emit "
-                "min-id stars (cap=%d); in-bucket candidate pairs are "
-                "connectivity-only at this duplicate density",
-                mat.shape[0],
-                s,
-                _BUCKET_STAR_CAP,
-            )
-            out_a.append(np.repeat(mat[:, 0], s - 1))
-            out_b.append(mat[:, 1:].reshape(-1))
-            continue
-        ii, jj = np.triu_indices(s, k=1)
-        out_a.append(mat[:, ii].reshape(-1))
-        out_b.append(mat[:, jj].reshape(-1))
-    if not out_a:
-        return pd.DataFrame()
-    return pd.DataFrame(
-        {"a": np.concatenate(out_a), "b": np.concatenate(out_b)}
-    )
+    return pd.DataFrame({"a": np.repeat(mat[:, 0], s - 1), "b": mat[:, 1:].reshape(-1)})
 
 
 #: verified pair schema of the n-gram Jaccard pipeline
@@ -519,29 +545,13 @@ _SMALL_PAIR_LIMIT = 200_000
 _SMALL_BYTE_LIMIT = 256 * 1024 * 1024
 
 
-def _mean_text_bytes(sf_dir: str) -> float:
-    """Mean per-row uncompressed size of documents.text, from parquet
-    column-chunk metadata (no data read)."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    md = pq.ParquetFile(os.path.join(sf_dir, "documents.parquet")).metadata
-    total = 0
-    for rg in range(md.num_row_groups):
-        g = md.row_group(rg)
-        for c in range(g.num_columns):
-            col = g.column(c)
-            if col.path_in_schema == "text":
-                total += col.total_uncompressed_size
-    return total / max(1, md.num_rows)
-
-
 def _pairs_with_jaccard(sf_dir: str, threshold: float | None, small_limit=None):
     """Shared LSH-candidates → texts → Jaccard pipeline behind
     :func:`ngram_jaccard_pairs` and :func:`minhash_dedup`, with the
     size-adaptive text-fetch tier choice (gated on measured pair COUNT
     and estimated broadcast BYTES — mean text size × 2·n_pairs)."""
+    from .util import column_bytes, table_rows
+
     if small_limit is None:
         small_limit = _SMALL_PAIR_LIMIT
     # cross-band duplicate pairs ride through and are deduped per tier
@@ -551,15 +561,17 @@ def _pairs_with_jaccard(sf_dir: str, threshold: float | None, small_limit=None):
     # the distributed join tier earlier than strictly necessary, which
     # errs on the safe (driver-protecting) side; both tiers are
     # asserted row-identical in tests either way.
-    cand = minhash_lsh_candidates(sf_dir, dedup_pairs=False).materialize()
+    cand = minhash_lsh_candidates(sf_dir).materialize()
     n = cand.count()
     if n == 0:
         return _JACCARD_PAIRS.empty_table()
     docs = tbl(sf_dir, "documents", columns=["doc_id", "text"])
     small = n <= small_limit
-    if small and n > 0:
+    if small:
         try:
-            small = _mean_text_bytes(sf_dir) * 2 * n <= _SMALL_BYTE_LIMIT
+            n_docs = max(1, table_rows(sf_dir, "documents"))
+            mean = column_bytes(sf_dir, "documents", "text") / n_docs
+            small = mean * 2 * n <= _SMALL_BYTE_LIMIT
         except Exception:
             small = False  # unknown sizes → take the distributed tier
     if small:
@@ -1154,12 +1166,13 @@ def simhash_candidates(
 ):
     """SimHash near-dup candidates: split the 64-bit signature into 4
     16-bit bands; any pair within Hamming distance 3 shares at least
-    one exact band (pigeonhole) → bucket groupby per band, verify
-    Hamming distance within buckets.
+    one exact band (pigeonhole) → :func:`band_pairs` over the 4 band
+    keys, with a Hamming-distance verify.
 
     Scale behavior (round-1 verdict fix): the 16-bit band keyspace
     means bucket population grows linearly with the corpus, so
-    oversized buckets are NOT pair-expanded directly. Instead:
+    buckets above ``direct_cap`` are NOT pair-expanded directly; each
+    goes to :func:`simhash_bucket_pairs`, where:
 
     - duplicate signatures are collapsed to one representative first
       (exact-dup cliques emitted separately),
@@ -1180,89 +1193,35 @@ def simhash_candidates(
 
     def explode(batch: pa.Table) -> pa.Table:
         sig = batch.column("simhash").to_numpy(zero_copy_only=False).astype(np.uint64)
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        n = len(sig)
-        doc = np.repeat(ids, 4)
-        band = np.tile(np.arange(4, dtype=np.int32), n)
-        key = np.empty(4 * n, dtype=np.uint64)
-        for b in range(4):
-            key[b::4] = (sig >> np.uint64(16 * b)) & np.uint64(0xFFFF)
-        return pa.table(
-            {
-                "doc_id": pa.array(doc, type=pa.int64()),
-                "band_id": pa.array(band),
-                "band_key": pa.array(key, type=pa.uint64()),
-                "simhash": pa.array(np.repeat(sig, 4), type=pa.uint64()),
-            }
+        shifts = np.arange(0, 64, 16, dtype=np.uint64)[:, None]
+        return _band_rows(
+            "doc_id",
+            batch.column("doc_id").to_numpy(zero_copy_only=False),
+            (sig[None, :] >> shifts) & np.uint64(0xFFFF),
+            simhash=batch.column("simhash"),
         )
 
-    exploded = sigs.map_batches(explode, batch_format="pyarrow")
+    def hamming(rows: pd.DataFrame, s: int, ii: np.ndarray, jj: np.ndarray):
+        sig = rows["simhash"].to_numpy().astype(np.uint64).reshape(-1, s)
+        x = sig[:, ii] ^ sig[:, jj]  # (n_groups, n_pairs)
+        ham = _popcount64(x.reshape(-1)).reshape(x.shape)
+        return ham, ham <= max_hamming
 
-    def pairs_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
-        """One vectorized pass per coarse bucket: same-size fine
-        (band_id, band_key) groups are stacked and pair-verified with
-        ONE batched XOR+popcount per size class; only groups larger
-        than ``direct_cap`` fall back to the per-group recursive
-        splitter (no per-group Python for the common case — the
-        measured dispatch bottleneck, BENCH/BASELINE.md)."""
-        df = bucket.drop_duplicates(
-            ["band_id", "band_key", "doc_id"]
-        ).sort_values(["band_id", "band_key", "doc_id"], kind="mergesort")
-        change = (
-            df["band_id"].ne(df["band_id"].shift())
-            | df["band_key"].ne(df["band_key"].shift())
-        ).to_numpy()
-        gid = np.cumsum(change) - 1
-        ids = df["doc_id"].to_numpy().astype(np.int64)
-        sig = df["simhash"].to_numpy().astype(np.uint64)
-        bands = df["band_id"].to_numpy()
-        counts = np.bincount(gid)
-        sizes = counts[gid]
-        outs = []
-        for s in np.unique(sizes):
-            if s < 2:
-                continue
-            mask = sizes == s
-            sub_ids = ids[mask].reshape(-1, s)
-            sub_sig = sig[mask].reshape(-1, s)
-            if s > direct_cap:
-                sub_band = bands[mask].reshape(-1, s)[:, 0]
-                for row_ids, row_sig, band in zip(sub_ids, sub_sig, sub_band):
-                    outs.append(
-                        simhash_bucket_pairs(
-                            row_ids,
-                            row_sig,
-                            int(band),
-                            max_hamming,
-                            direct_cap,
-                            clique_cap,
-                            cross_cap,
-                        )
-                    )
-                continue
-            ii, jj = np.triu_indices(s, k=1)
-            x = sub_sig[:, ii] ^ sub_sig[:, jj]  # (n_groups, n_pairs)
-            ham = _popcount64(x.reshape(-1)).reshape(x.shape)
-            keep = ham <= max_hamming
-            gi, pi = np.nonzero(keep)
-            if len(gi):
-                outs.append(
-                    pd.DataFrame(
-                        {
-                            "a": sub_ids[gi, ii[pi]],
-                            "b": sub_ids[gi, jj[pi]],
-                            "hamming": ham[gi, pi],
-                        }
-                    )
-                )
-        if not outs:
-            return pd.DataFrame()
-        return pd.concat(outs, ignore_index=True)
+    def split(mat: np.ndarray, rows: pd.DataFrame) -> pd.DataFrame:
+        sigs = rows["simhash"].to_numpy().astype(np.uint64).reshape(mat.shape)
+        band = rows["band_id"].to_numpy()[:: mat.shape[1]]
+        return pd.concat(
+            simhash_bucket_pairs(
+                ids, sig, int(b), max_hamming, direct_cap, clique_cap, cross_cap
+            )
+            for ids, sig, b in zip(mat, sigs, band)
+        )
 
-    from .util import coarse_apply, coarse_dedup
+    from .util import coarse_dedup
 
     schema = pa.schema([(c, pa.int64()) for c in ("a", "b", "hamming")])
-    cand = coarse_apply(exploded, ["band_id", "band_key"], pairs_bucket, schema)
+    exploded = sigs.map_batches(explode, batch_format="pyarrow")
+    cand = band_pairs(exploded, "doc_id", schema, direct_cap, split, verify=hamming)
     return coarse_dedup(cand, ["a", "b"], schema).sort(["a", "b"])
 
 
@@ -1350,11 +1309,11 @@ def embedding_neardup(
     max_bucket: int = 2048,
     ds=None,
 ):
-    """Near-duplicate vectors: sign-LSH (random hyperplanes) buckets →
-    within-bucket exact cosine verify. The bucket groupby is the only
-    shuffle; hyperplane matrices are built per worker from fixed seeds
-    (no broadcast needed — determinism IS the share). ``ds`` overrides
-    the input Dataset (tests plant known near-dups).
+    """Near-duplicate vectors: sign-LSH (random hyperplanes) band keys
+    → :func:`band_pairs` with an exact cosine verify. Hyperplane
+    matrices are built per worker from fixed seeds (no broadcast
+    needed — determinism IS the share). ``ds`` overrides the input
+    Dataset (tests plant known near-dups).
 
     Scale behavior (round-1 verdict fix): ``n_planes`` auto-sizes to
     ~log2(corpus/64) so buckets average ≈64 vectors at ANY corpus size
@@ -1362,30 +1321,27 @@ def embedding_neardup(
     corpus), and ``n_bands`` independent plane sets are used so recall
     survives the extra planes (a true near-dup pair only needs to
     agree on all planes of ONE band). Buckets above ``max_bucket`` are
-    split recursively on extra deterministic hyperplanes inside the
-    verify fn — pairs crossing such a split are lost, which is the
-    documented recall trade for bounding the O(b²) verify.
+    split recursively on extra deterministic hyperplanes
+    (:func:`_split_verify`) — pairs crossing such a split are lost,
+    which is the documented recall trade for bounding the O(b²) verify.
 
     Returns the ``(a, b, cosine)`` pairs, sorted, as a pandas frame
     (``util.collect``: typed even when no pair survives).
     """
+    from .similarity import sign_keys
+    from .util import cached, coarse_dedup, table_rows
+
     if ds is None:
         ds = tbl(sf_dir, "embeddings", columns=["vec_id", "embedding"])
         if n_planes is None:
-            import os
-
-            import pyarrow.parquet as pq
-
-            n_rows = pq.ParquetFile(
-                os.path.join(sf_dir, "embeddings.parquet")
-            ).metadata.num_rows
+            n_rows = table_rows(sf_dir, "embeddings")
             n_planes = max(4, int(np.log2(max(2, n_rows / 64))))
     elif n_planes is None:
         n_planes = max(4, int(np.log2(max(2, ds.count() / 64))))
 
     class Bucket:
         """One plane matrix per band, seeds 13, 14, … — each vector
-        explodes to ``n_bands`` (band_id, bucket) rows."""
+        explodes to ``n_bands`` rows (:func:`_band_rows`)."""
 
         def __init__(self) -> None:
             self.planes = [
@@ -1397,117 +1353,72 @@ def embedding_neardup(
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             emb = np.asarray(batch.column("embedding").to_pylist(), dtype=np.float32)
-            n = len(emb)
-            keys = np.empty((n_bands, n), dtype=np.uint32)
-            for band in range(n_bands):
-                bits = (emb @ self.planes[band] > 0).astype(np.uint32)
-                key = np.zeros(n, dtype=np.uint32)
-                for b in range(n_planes):
-                    key |= bits[:, b] << b
-                keys[band] = key
-            ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-            rep_emb = pa.chunked_array(
-                [batch.column("embedding").combine_chunks()] * n_bands
+            return _band_rows(
+                "vec_id",
+                batch.column("vec_id").to_numpy(zero_copy_only=False),
+                np.stack([sign_keys(emb, planes) for planes in self.planes]),
+                embedding=batch.column("embedding"),
             )
-            return pa.table(
-                {
-                    "vec_id": pa.array(np.tile(ids, n_bands), type=pa.int64()),
-                    "band_id": pa.array(
-                        np.repeat(np.arange(n_bands, dtype=np.int32), n)
-                    ),
-                    "bucket": pa.array(keys.reshape(-1), type=pa.uint32()),
-                    "embedding": rep_emb,
-                }
-            )
-
-    from .util import cached
 
     def bucket_batches(batch, _n=n_planes, _b=n_bands):
         return cached(("neardup-bucket", _n, _b), Bucket)(batch)
 
-    bucketed = ds.map_batches(bucket_batches, batch_format="pyarrow")
+    def stacked_embeddings(rows: pd.DataFrame, s: int) -> np.ndarray:
+        emb = np.asarray(rows["embedding"].tolist(), dtype=np.float64)
+        return emb.reshape(-1, s, emb.shape[1])
 
-    def _verify_arrays(ids: np.ndarray, emb: np.ndarray, depth: int) -> list:
-        if len(ids) > max_bucket:
-            # recursive split on an extra deterministic hyperplane
-            plane = np.random.default_rng(4099 + depth).standard_normal(
-                emb.shape[1]
-            )
-            side = emb @ plane > 0
-            out = []
-            for mask in (side, ~side):
-                if mask.sum() >= 2:
-                    out.extend(_verify_arrays(ids[mask], emb[mask], depth + 1))
-            return out
-        norm = np.linalg.norm(emb, axis=1, keepdims=True)
+    def cosine(rows: pd.DataFrame, s: int, ii: np.ndarray, jj: np.ndarray):
+        emb = stacked_embeddings(rows, s)
+        norm = np.linalg.norm(emb, axis=2, keepdims=True)
         norm[norm == 0] = 1.0
         unit = emb / norm
-        sim = unit @ unit.T
-        ii, jj = np.triu_indices(len(ids), k=1)
-        keep = sim[ii, jj] >= threshold
-        return [(ids[ii][keep], ids[jj][keep], sim[ii, jj][keep])]
+        vals = np.einsum("nsd,ntd->nst", unit, unit)[:, ii, jj]
+        return np.round(vals, 4), vals >= threshold
 
-    def verify_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
-        """One vectorized pass per coarse bucket: fine (band, bucket)
-        groups of the same size are stacked and verified with ONE
-        batched matmul per size class (einsum) — no per-group Python
-        dispatch (the measured bottleneck; BENCH/BASELINE.md).
-        Oversized groups fall back to the recursive splitter."""
-        df = bucket.drop_duplicates(["band_id", "bucket", "vec_id"]).sort_values(
-            ["band_id", "bucket", "vec_id"], kind="mergesort"
+    def split(mat: np.ndarray, rows: pd.DataFrame) -> pd.DataFrame:
+        emb = stacked_embeddings(rows, mat.shape[1])
+        return pd.concat(
+            _split_verify(ids, e, threshold, max_bucket) for ids, e in zip(mat, emb)
         )
-        change = (
-            df["band_id"].ne(df["band_id"].shift())
-            | df["bucket"].ne(df["bucket"].shift())
-        ).to_numpy()
-        gid = np.cumsum(change) - 1
-        ids = df["vec_id"].to_numpy().astype(np.int64)
-        counts = np.bincount(gid)
-        sizes = counts[gid]
-        dim = len(df["embedding"].iloc[0])
-        out_a, out_b, out_c = [], [], []
-        for s in np.unique(sizes):
-            if s < 2:
-                continue
-            mask = sizes == s
-            sub_ids = ids[mask].reshape(-1, s)
-            emb = np.asarray(
-                df.loc[mask, "embedding"].tolist(), dtype=np.float64
-            ).reshape(-1, s, dim)
-            if s > max_bucket:
-                for row_ids, row_emb in zip(sub_ids, emb):
-                    for pa_, pb_, pcos in _verify_arrays(row_ids, row_emb, 0):
-                        out_a.append(pa_)
-                        out_b.append(pb_)
-                        out_c.append(pcos)
-                continue
-            norm = np.linalg.norm(emb, axis=2, keepdims=True)
-            norm[norm == 0] = 1.0
-            unit = emb / norm
-            sims = np.einsum("nsd,ntd->nst", unit, unit)
-            ii, jj = np.triu_indices(s, k=1)
-            vals = sims[:, ii, jj]  # (n_groups, n_pairs)
-            keep = vals >= threshold
-            gi, pi = np.nonzero(keep)
-            if len(gi):
-                out_a.append(sub_ids[gi, ii[pi]])
-                out_b.append(sub_ids[gi, jj[pi]])
-                out_c.append(vals[gi, pi])
-        if not out_a:
-            return pd.DataFrame()
-        return pd.DataFrame(
-            {
-                "a": np.concatenate(out_a),
-                "b": np.concatenate(out_b),
-                "cosine": np.round(np.concatenate(out_c), 4),
-            }
-        )
-
-    from .util import coarse_apply, coarse_dedup
 
     schema = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("cosine", pa.float64())])
-    cand = coarse_apply(bucketed, ["band_id", "bucket"], verify_bucket, schema)
+    bucketed = ds.map_batches(bucket_batches, batch_format="pyarrow")
+    cand = band_pairs(bucketed, "vec_id", schema, max_bucket, split, verify=cosine)
     return collect(coarse_dedup(cand, ["a", "b"], schema).sort(["a", "b"]), schema)
+
+
+def _split_verify(
+    ids: np.ndarray, emb: np.ndarray, threshold: float, max_bucket: int, depth: int = 0
+) -> pd.DataFrame:
+    """Embedding near-dup's fallback for a group above ``max_bucket``:
+    split it recursively on an extra deterministic hyperplane per level
+    (seed ``4099 + depth``) until each part fits, then cosine-verify
+    each part's full triu. Pairs crossing a split are lost — the
+    documented recall trade for bounding the O(b²) verify."""
+    if len(ids) > max_bucket:
+        plane = np.random.default_rng(4099 + depth).standard_normal(emb.shape[1])
+        side = emb @ plane > 0
+        parts = [
+            _split_verify(ids[mask], emb[mask], threshold, max_bucket, depth + 1)
+            for mask in (side, ~side)
+            if mask.sum() >= 2
+        ]
+        if parts:
+            return pd.concat(parts)
+        ids, emb = ids[:0], emb[:0]  # max_bucket < 2: no part holds a pair
+    norm = np.linalg.norm(emb, axis=1, keepdims=True)
+    norm[norm == 0] = 1.0
+    unit = emb / norm
+    sim = unit @ unit.T
+    ii, jj = np.triu_indices(len(ids), k=1)
+    keep = sim[ii, jj] >= threshold
+    return pd.DataFrame(
+        {
+            "a": ids[ii][keep],
+            "b": ids[jj][keep],
+            "cosine": np.round(sim[ii, jj][keep], 4),
+        }
+    )
 
 
 def neardup_candidates(sf_dir: str):
@@ -1529,8 +1440,6 @@ def neardup_candidates(sf_dir: str):
     if isinstance(nj, pa.Table):  # measured-small broadcast tier
         nj = ray.data.from_arrow(nj)
     sh = simhash_candidates(sf_dir)
-    if isinstance(sh, pa.Table):
-        sh = ray.data.from_arrow(sh)
 
     def tag_jaccard(batch: pa.Table) -> pa.Table:
         return pa.table(

@@ -23,7 +23,7 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
-from .util import tbl
+from .util import table_rows, tbl
 
 
 def encode_bmp(pixels: np.ndarray) -> bytes:
@@ -499,7 +499,7 @@ def media_golden_path(
         # the stamp only needs the row COUNT — metadata-only, so the
         # gate's cache-hit path never reads a data column (r5 review)
         src_pq = os.path.join(sf_dir, "documents.parquet")
-        n_docs = pq.ParquetFile(src_pq).metadata.num_rows
+        n_docs = table_rows(sf_dir, "documents")
         stamp = (
             f"gen={MEDIA_GOLDEN_VERSION} docs={n_docs} fb={frame_bytes} "
             f"k={every_k} w={out_w} h={out_h}\n"

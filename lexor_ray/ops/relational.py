@@ -37,14 +37,9 @@ def _events_heavy_keys(sf_dir: str, threshold: int):
     threshold no key can possibly be heavy, so the pre-count scan is
     skipped outright (zero cost at test/bench scales — the guard only
     pays its one column scan where it can matter)."""
-    import os
+    from .util import heavy_keys, table_rows
 
-    import pyarrow.parquet as pq
-
-    from .util import heavy_keys
-
-    md = pq.ParquetFile(os.path.join(sf_dir, "events.parquet")).metadata
-    if md.num_rows < threshold:
+    if table_rows(sf_dir, "events") < threshold:
         return pd.DataFrame({"user_id": pd.Series([], dtype="int64")})
     return heavy_keys(
         tbl(sf_dir, "events", columns=["user_id"]), "user_id", pa.int64(), threshold

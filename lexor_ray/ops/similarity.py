@@ -21,13 +21,21 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .util import cached, cached_for_ref, coarse_apply, fold_blocks, tbl
+from .util import cached, cached_for_ref, coarse_apply, fold_blocks, table_rows, tbl
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(m, axis=1, keepdims=True)
     norm[norm == 0] = 1.0
     return m / norm
+
+
+def sign_keys(x: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """Sign-LSH bucket key of each row of ``x``: bit ``b`` is set when
+    the row lies on the positive side of hyperplane ``planes[:, b]``."""
+    bits = (x @ planes > 0).astype(np.uint64)
+    shifts = np.arange(planes.shape[1], dtype=np.uint64)
+    return np.bitwise_or.reduce(bits << shifts, axis=1)
 
 
 def _query_matrix(sf_dir: str, n_queries: int, normalize: bool = True):
@@ -162,24 +170,15 @@ def lsh_ann_topk(
 
     ``n_planes`` defaults to ~log2(corpus/64): buckets average ≈64
     vectors so multi-probe covers enough candidates at any scale."""
-    import os
-
-    import pyarrow.parquet as pq
     import ray
 
     if n_planes is None:
-        n_rows = pq.ParquetFile(
-            os.path.join(sf_dir, "embeddings.parquet")
-        ).metadata.num_rows
+        n_rows = table_rows(sf_dir, "embeddings")
         n_planes = max(2, int(np.log2(max(2, n_rows / 64))))
 
     qids, qm = _query_matrix(sf_dir, n_queries)
     rng = np.random.default_rng(29)
-    planes = rng.standard_normal((qm.shape[1], n_planes))
-    qbits = (qm @ planes > 0).astype(np.uint32)
-    qkeys = np.zeros(len(qids), dtype=np.uint32)
-    for b in range(n_planes):
-        qkeys |= qbits[:, b] << b
+    qkeys = sign_keys(qm, rng.standard_normal((qm.shape[1], n_planes)))
     # multi-probe: own bucket + 1-bit flips
     probe_map: dict[int, list[int]] = {}
     for qi, key in enumerate(qkeys):
@@ -200,17 +199,13 @@ def lsh_ann_topk(
         def __init__(self, n_planes_: int) -> None:
             r = np.random.default_rng(29)
             self.planes = r.standard_normal((64, n_planes_))
-            self.n_planes = n_planes_
 
         def search(self, batch: pa.Table, qids, qm, probe_map, k: int) -> pa.Table:
             ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
             emb = _normalize(
                 np.asarray(batch.column("embedding").to_pylist(), dtype=np.float64)
             )
-            bits = (emb @ self.planes > 0).astype(np.uint32)
-            keys = np.zeros(len(ids), dtype=np.uint32)
-            for b in range(self.n_planes):
-                keys |= bits[:, b] << b
+            keys = sign_keys(emb, self.planes)
             return _probe(keys, probe_map, qids, qm, ids, emb, k)
 
     def search_batches(batch, _n=n_planes, _k=k, _q=q_ref):

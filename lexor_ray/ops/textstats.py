@@ -17,7 +17,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .util import tbl
+from .util import table_rows, tbl
 
 
 def token_counts(sf_dir: str):
@@ -491,11 +491,7 @@ def tfidf_top_terms(sf_dir: str, top_k: int = 3, min_df: int = 2, vocab_limit=No
 
     df_ds = df_ds.map_batches(keep_min_df, batch_format="pyarrow").materialize()
 
-    import os
-
-    import pyarrow.parquet as pq
-
-    n_docs = pq.ParquetFile(os.path.join(sf_dir, "documents.parquet")).metadata.num_rows
+    n_docs = table_rows(sf_dir, "documents")
 
     if df_ds.count() > vocab_limit:
         return _tfidf_joined(ds, df_ds, n_docs, top_k)

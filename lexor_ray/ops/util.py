@@ -46,6 +46,25 @@ def tbl(sf_dir: str, name: str, columns=None):
     )
 
 
+def table_rows(sf_dir: str, name: str) -> int:
+    """Row count of one testdata table, from parquet metadata (no data
+    read)."""
+    import pyarrow.parquet as pq
+
+    return pq.read_metadata(os.path.join(sf_dir, f"{name}.parquet")).num_rows
+
+
+def column_bytes(sf_dir: str, name: str, column: str) -> int:
+    """Total uncompressed bytes of one column of one testdata table,
+    from parquet column-chunk metadata (no data read)."""
+    import pyarrow.parquet as pq
+
+    md = pq.read_metadata(os.path.join(sf_dir, f"{name}.parquet"))
+    leaf = [md.schema.column(i).path for i in range(md.num_columns)].index(column)
+    rgs = range(md.num_row_groups)
+    return sum(md.row_group(r).column(leaf).total_uncompressed_size for r in rgs)
+
+
 #: per-worker-process instance cache for stateful batch callables.
 #: Stateless tasks + this cache give actor-style state amortization
 #: (compiled regexes, hash params, broadcast handles) WITHOUT an actor

@@ -606,6 +606,81 @@ def test_simhash_skewed_megabucket_capped(ray_session):
     assert len(clique) >= n - 1001  # star covers the whole clique
 
 
+def test_band_pairs_matches_per_group_loop(ray_session):
+    """``band_pairs`` equals a naive per-group ``combinations`` loop on
+    seeded random band rows (repeated (band, key, id) rows, uint64 keys
+    past 2**63, one key shared by several bands): every pair of a group
+    at or under the cap, once per band; with a payload-dependent
+    ``verify``, only the pairs it keeps, carrying its values; and
+    ``oversized`` receives exactly the groups above the cap, once each."""
+    import itertools
+
+    import pyarrow as pa
+    import ray.data
+
+    from lexor_ray.ops.dedup import band_pairs
+
+    cap = 3
+
+    def weight(i):
+        return i * 7 % 11
+
+    def verify(rows, s, ii, jj):
+        w = rows["w"].to_numpy().reshape(-1, s)
+        vals = w[:, ii] + w[:, jj]
+        return vals, vals % 3 != 0
+
+    def record(mat, rows):
+        # one row per member, tagged by a negative group code
+        grp = rows["grp"].to_numpy().reshape(mat.shape)
+        return pd.DataFrame({"a": -1 - grp.reshape(-1), "b": mat.reshape(-1), "v": 0})
+
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        pool = np.r_[rng.integers(0, 2**63, 8), 2**63 + rng.integers(0, 2**62, 8)]
+        combos = rng.permutation(len(pool) * 4)[:40]
+        groups = []  # (band_id, band_key, sorted unique ids)
+        for c in combos:
+            size = int(rng.integers(1, cap + 3))
+            ids = np.sort(rng.choice(60, size, replace=False))
+            groups.append((int(c % 4), np.uint64(pool[c // 4]), ids))
+        rows = pd.DataFrame(
+            [(i, b, k, gi) for gi, (b, k, ids) in enumerate(groups) for i in ids],
+            columns=["id", "band_id", "band_key", "grp"],
+        )
+        rows = pd.concat([rows, rows.sample(frac=0.3, random_state=seed)])
+        rows = rows.astype(
+            {"id": "int64", "band_id": "int32", "band_key": "uint64", "grp": "int64"}
+        )
+        rows["w"] = weight(rows["id"])
+        ds = ray.data.from_pandas(rows.sample(frac=1.0, random_state=seed))
+
+        want_over = {
+            -1 - gi: ids.tolist()
+            for gi, (_, _, ids) in enumerate(groups)
+            if len(ids) > cap
+        }
+        for checked in (None, verify):
+            want = sorted(
+                (int(a), int(b), int(weight(a) + weight(b)))
+                for _, _, ids in groups
+                if len(ids) <= cap
+                for a, b in itertools.combinations(ids, 2)
+                if checked is None or (weight(a) + weight(b)) % 3 != 0
+            )
+            cols = [("a", pa.int64()), ("b", pa.int64()), ("v", pa.int64())]
+            schema = pa.schema(cols if checked else cols[:2])
+            got = band_pairs(ds, "id", schema, cap, record, verify=checked).to_pandas()
+            pairs = got[got["a"] >= 0]
+            if checked is None:
+                want = [p[:2] for p in want]
+                assert sorted(zip(pairs["a"], pairs["b"])) == want, seed
+            else:
+                assert sorted(zip(pairs["a"], pairs["b"], pairs["v"])) == want, seed
+            over = got[got["a"] < 0].sort_values(["a", "b"])
+            assert over.groupby("a")["b"].apply(list).to_dict() == want_over, seed
+
+
 def test_first_tool_flags_same_ts_tie_parity(ray_session, tmp_path):
     """STRICT same-ts semantics on data WITH timestamp ties: a tool
     turn at the same ts as another turn must not count as 'seen
@@ -1592,7 +1667,10 @@ def test_one_keyed_shuffle_in_package():
     through it. The one single-task gather, ``repartition(1)``, appears
     only in ``ops/util.fold_blocks``: every bounded fold goes through
     it. No keyed aggregate bypasses them through Ray's sort-based
-    ``groupby(...).aggregate(...)`` or ``groupby(...).count()``."""
+    ``groupby(...).aggregate(...)`` or ``groupby(...).count()``. The
+    stacked LSH pair expansion, ``np.triu_indices``, appears only in
+    ``ops/dedup.band_pairs`` and the three fallbacks for a single
+    oversized group: every LSH candidate pair goes through it."""
     import ast
     import pathlib
     import re
@@ -1607,6 +1685,7 @@ def test_one_keyed_shuffle_in_package():
         "hash_pandas_object": set(),
         ".map_groups(": set(),
         ".repartition(1)": set(),
+        "np.triu_indices": set(),
     }
     bypass = []
     for path in sorted(pkg.rglob("*.py")):
@@ -1633,6 +1712,12 @@ def test_one_keyed_shuffle_in_package():
         "hash_pandas_object": want,
         ".map_groups(": want,
         ".repartition(1)": {"ops/util.py:fold_blocks"},
+        "np.triu_indices": {
+            "ops/dedup.py:band_pairs",
+            "ops/dedup.py:_rep_pairs",
+            "ops/dedup.py:simhash_bucket_pairs",
+            "ops/dedup.py:_split_verify",
+        },
     }
     assert bypass == []
 
