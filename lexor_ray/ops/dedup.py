@@ -568,12 +568,9 @@ def _pairs_with_jaccard(sf_dir: str, threshold: float | None, small_limit=None):
     docs = tbl(sf_dir, "documents", columns=["doc_id", "text"])
     small = n <= small_limit
     if small:
-        try:
-            n_docs = max(1, table_rows(sf_dir, "documents"))
-            mean = column_bytes(sf_dir, "documents", "text") / n_docs
-            small = mean * 2 * n <= _SMALL_BYTE_LIMIT
-        except Exception:
-            small = False  # unknown sizes → take the distributed tier
+        n_docs = max(1, table_rows(sf_dir, "documents"))
+        mean = column_bytes(sf_dir, "documents", "text") / n_docs
+        small = mean * 2 * n <= _SMALL_BYTE_LIMIT
     if small:
         # verify stays distributed (per-batch Jaccard over the pair
         # Dataset); only the MEASURED-SMALL (a, b, jaccard) result is
@@ -1323,7 +1320,9 @@ def embedding_neardup(
     agree on all planes of ONE band). Buckets above ``max_bucket`` are
     split recursively on extra deterministic hyperplanes
     (:func:`_split_verify`) — pairs crossing such a split are lost,
-    which is the documented recall trade for bounding the O(b²) verify.
+    which is the documented recall trade for bounding the O(b²) verify;
+    a part no plane splits (identical vectors) is verified as a min-id
+    star.
 
     Returns the ``(a, b, cosine)`` pairs, sorted, as a pandas frame
     (``util.collect``: typed even when no pair survives).
@@ -1394,30 +1393,38 @@ def _split_verify(
     split it recursively on an extra deterministic hyperplane per level
     (seed ``4099 + depth``) until each part fits, then cosine-verify
     each part's full triu. Pairs crossing a split are lost — the
-    documented recall trade for bounding the O(b²) verify."""
+    documented recall trade for bounding the O(b²) verify. A plane
+    that leaves every row on one side (identical vectors never split)
+    ends the recursion: that part is verified as a star from its min
+    id, MinHash's duplicate-safe fallback."""
+    star = False
     if len(ids) > max_bucket:
         plane = np.random.default_rng(4099 + depth).standard_normal(emb.shape[1])
         side = emb @ plane > 0
-        parts = [
-            _split_verify(ids[mask], emb[mask], threshold, max_bucket, depth + 1)
-            for mask in (side, ~side)
-            if mask.sum() >= 2
-        ]
-        if parts:
-            return pd.concat(parts)
-        ids, emb = ids[:0], emb[:0]  # max_bucket < 2: no part holds a pair
+        star = bool(side.all() or not side.any())
+        if not star:
+            parts = [
+                _split_verify(ids[mask], emb[mask], threshold, max_bucket, depth + 1)
+                for mask in (side, ~side)
+                if mask.sum() >= 2
+            ]
+            if parts:
+                return pd.concat(parts)
+            ids, emb = ids[:0], emb[:0]  # max_bucket < 2: no part holds a pair
     norm = np.linalg.norm(emb, axis=1, keepdims=True)
     norm[norm == 0] = 1.0
     unit = emb / norm
-    sim = unit @ unit.T
-    ii, jj = np.triu_indices(len(ids), k=1)
-    keep = sim[ii, jj] >= threshold
+    if star:
+        first = int(np.argmin(ids))
+        jj = np.delete(np.arange(len(ids)), first)
+        ii = np.full(len(jj), first)
+        cos = unit[jj] @ unit[first]
+    else:
+        ii, jj = np.triu_indices(len(ids), k=1)
+        cos = (unit @ unit.T)[ii, jj]
+    keep = cos >= threshold
     return pd.DataFrame(
-        {
-            "a": ids[ii][keep],
-            "b": ids[jj][keep],
-            "cosine": np.round(sim[ii, jj][keep], 4),
-        }
+        {"a": ids[ii][keep], "b": ids[jj][keep], "cosine": np.round(cos[keep], 4)}
     )
 
 

@@ -14,7 +14,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .util import tbl
+from .util import read_table, tbl
 
 # ---------------------------------------------------------------------------
 
@@ -675,12 +675,10 @@ def conversation_documents(sf_dir: str):
     turns into one document in turn order — groupby(conv_id) +
     in-group sort + join. The ordering-sensitive aggregate shape
     (DuckDB oracle: string_agg(... ORDER BY turn_idx))."""
-    import ray.data
-
     from ..transcripts import transcripts_for
 
     src = transcripts_for(sf_dir)
-    ds = ray.data.read_parquet(src, columns=["conv_id", "turn_idx", "text"])
+    ds = read_table(src, columns=["conv_id", "turn_idx", "text"])
 
     def assemble(bucket: pd.DataFrame) -> pd.DataFrame:
         df = bucket.sort_values(["conv_id", "turn_idx"], kind="mergesort")

@@ -26,13 +26,11 @@ def first_tool_turn_flags(sf_dir: str, src: str | None = None):
     taking the min of the exclusive count over each (conv_id, ts) tie
     block. No global sort, no driver iteration.
     """
-    import ray.data
-
     from ..transcripts import transcripts_for
-    from .util import coarse_apply
+    from .util import coarse_apply, read_table
 
     src = src or transcripts_for(sf_dir)
-    ds = ray.data.read_parquet(src, columns=["conv_id", "turn_idx", "role", "ts"])
+    ds = read_table(src, columns=["conv_id", "turn_idx", "role", "ts"])
 
     def flags(bucket: pd.DataFrame) -> pd.DataFrame:
         df = bucket.sort_values(["conv_id", "ts", "turn_idx"], kind="mergesort")

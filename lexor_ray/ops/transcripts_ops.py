@@ -14,7 +14,7 @@ import pyarrow.compute as pc
 
 from ..pipeline import extract_ds, read_transcripts, stable_order
 from ..transcripts import transcripts_for
-from .util import tbl  # noqa: F401  (symmetry with other ops modules)
+from .util import read_table
 
 
 def extract_turns(sf_dir: str):
@@ -171,10 +171,8 @@ class MarkdownBatch:
 
 def extract_markdown(sf_dir: str):
     """Flagship variant: html→markdown per turn (rows-only check)."""
-    import ray.data
-
     src = transcripts_for(sf_dir)
-    ds = ray.data.read_parquet(src, columns=["conv_id", "turn_idx", "text"])
+    ds = read_table(src, columns=["conv_id", "turn_idx", "text"])
     from .util import cached
 
     out = ds.map_batches(
@@ -245,12 +243,10 @@ def turns_per_conversation(sf_dir: str):
     count + total text length (partial agg per batch → one keyed
     fold). Hot conversations need no salting: a conversation reaches
     the shuffle as at most one partial row per input batch."""
-    import ray.data
-
     from .util import fold_keyed
 
     src = transcripts_for(sf_dir)
-    ds = ray.data.read_parquet(src, columns=["conv_id", "text"])
+    ds = read_table(src, columns=["conv_id", "text"])
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table(
@@ -285,10 +281,8 @@ def turns_per_conversation(sf_dir: str):
 
 def role_distribution(sf_dir: str):
     """SQL-checkable: rows per role."""
-    import ray.data
-
     src = transcripts_for(sf_dir)
-    ds = ray.data.read_parquet(src, columns=["role"])
+    ds = read_table(src, columns=["role"])
 
     def partial(batch: pa.Table) -> pa.Table:
         return batch.group_by(["role"]).aggregate([("role", "count")])
@@ -307,12 +301,10 @@ def exact_dedup_turns(sf_dir: str):
     repeated ingestion (SURVEY.md §2.5): keep first, count copies.
     The synthetic table has no dups, so this asserts the identity —
     SQL-checkable either way."""
-    import ray.data
-
     from .util import fold_keyed
 
     src = transcripts_for(sf_dir)
-    ds = ray.data.read_parquet(src, columns=["conv_id", "turn_idx"])
+    ds = read_table(src, columns=["conv_id", "turn_idx"])
     keys = ["conv_id", "turn_idx"]
 
     def partial(batch: pa.Table) -> pa.Table:

@@ -3,6 +3,9 @@
 Scale-first conventions used across ``lexor_ray.ops``:
 
 - **Prune at the read**: every reader passes ``columns=[...]``.
+- **One sized reader**: every operator read goes through
+  ``read_table``, one block per cluster CPU unless the parquet
+  footers' bytes need more blocks of ``target_max_block_size``.
 - **Partial aggregation**: grouped aggregates combine inside
   ``map_batches`` (vectorized ``pyarrow.Table.group_by`` per batch)
   before the wide ``groupby`` — the shuffle then moves one row per
@@ -37,32 +40,66 @@ import numpy as np
 import pyarrow as pa
 
 
-def tbl(sf_dir: str, name: str, columns=None):
-    """Column-pruned Ray Dataset over one testdata table."""
+def _footers(path: str) -> list:
+    """Parquet footer of every fragment under ``path`` (one file or a
+    directory of part files); no data read."""
+    import pyarrow.dataset as pads
+
+    return [f.metadata for f in pads.dataset(path, format="parquet").get_fragments()]
+
+
+def _footer_bytes(footers: list, columns=None) -> int:
+    """Uncompressed bytes of ``columns`` (all when None) summed over
+    every row group of every footer; a nested column counts all its
+    leaves."""
+    total = 0
+    for md in footers:
+        paths = [md.schema.column(i).path for i in range(md.num_columns)]
+        leaves = [
+            i
+            for i, p in enumerate(paths)
+            if columns is None or any(p == c or p.startswith(c + ".") for c in columns)
+        ]
+        for r in range(md.num_row_groups):
+            rg = md.row_group(r)
+            total += sum(rg.column(i).total_uncompressed_size for i in leaves)
+    return total
+
+
+def read_table(path: str, columns=None):
+    """Column-pruned Ray Dataset over one parquet file or directory,
+    read as one block per cluster CPU, or as many blocks of at most
+    ``DataContext.target_max_block_size`` as the footers' uncompressed
+    bytes of ``columns`` need. Ray's own default cuts even a 75 MB
+    file into ~1 MiB blocks, and every block pays the fixed cost of
+    a task in each downstream stage. Runs inside the caller's Ray
+    session."""
+    import math
+
+    import ray
     import ray.data
 
-    return ray.data.read_parquet(
-        os.path.join(sf_dir, f"{name}.parquet"), columns=columns
-    )
+    nbytes = _footer_bytes(_footers(path), columns)
+    cap = ray.data.DataContext.get_current().target_max_block_size
+    n = max(int(ray.cluster_resources()["CPU"]), math.ceil(nbytes / cap))
+    return ray.data.read_parquet(path, columns=columns, override_num_blocks=n)
+
+
+def tbl(sf_dir: str, name: str, columns=None):
+    """Column-pruned Ray Dataset over one testdata table."""
+    return read_table(os.path.join(sf_dir, f"{name}.parquet"), columns)
 
 
 def table_rows(sf_dir: str, name: str) -> int:
     """Row count of one testdata table, from parquet metadata (no data
     read)."""
-    import pyarrow.parquet as pq
-
-    return pq.read_metadata(os.path.join(sf_dir, f"{name}.parquet")).num_rows
+    return sum(md.num_rows for md in _footers(os.path.join(sf_dir, f"{name}.parquet")))
 
 
 def column_bytes(sf_dir: str, name: str, column: str) -> int:
     """Total uncompressed bytes of one column of one testdata table,
     from parquet column-chunk metadata (no data read)."""
-    import pyarrow.parquet as pq
-
-    md = pq.read_metadata(os.path.join(sf_dir, f"{name}.parquet"))
-    leaf = [md.schema.column(i).path for i in range(md.num_columns)].index(column)
-    rgs = range(md.num_row_groups)
-    return sum(md.row_group(r).column(leaf).total_uncompressed_size for r in rgs)
+    return _footer_bytes(_footers(os.path.join(sf_dir, f"{name}.parquet")), [column])
 
 
 #: per-worker-process instance cache for stateful batch callables.

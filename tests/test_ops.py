@@ -505,13 +505,17 @@ def test_windowed_agg_total_preserved(ray_session):
     assert int(got["n_events"].sum()) == len(t)
 
 
-def test_minhash_dedup_distributed_join_cross_block(ray_session, tmp_path):
+def test_minhash_dedup_distributed_join_cross_block(ray_session, tmp_path, monkeypatch):
     """Planted duplicates split across separate parquet FILES (hence
     separate read blocks) must be found — proves the verify path is a
-    real distributed doc_id join, not a single-block coincidence."""
+    real distributed doc_id join, not a single-block coincidence. The
+    default call on the same directory table must take the
+    measured-small broadcast tier (the join tier raises there) and
+    give identical rows."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
+    from lexor_ray.ops import dedup
     from lexor_ray.ops.dedup import minhash_dedup
 
     base = (
@@ -543,6 +547,10 @@ def test_minhash_dedup_distributed_join_cross_block(ray_session, tmp_path):
     assert (3, 57) in set(zip(got["a"], got["b"]))
     assert (got["jaccard"] >= 0.8).all()
     # measured-small broadcast tier must produce identical rows
+    def join_tier(*_):
+        raise AssertionError("distributed join tier taken on a small corpus")
+
+    monkeypatch.setattr(dedup, "_join_pair_texts", join_tier)
     got2 = df(minhash_dedup(str(tmp_path), threshold=0.8))
     pd.testing.assert_frame_equal(
         got.reset_index(drop=True), got2.reset_index(drop=True)
@@ -743,6 +751,22 @@ def test_embedding_neardup_banded_autosize(ray_session):
     found = set(zip(got["a"], got["b"]))
     for i in range(5):
         assert (i, 200 + i) in found
+
+
+def test_embedding_neardup_identical_vectors_above_max_bucket(ray_session):
+    """No hyperplane splits identical vectors, so a band bucket of more
+    than ``max_bucket`` of them cannot be split until it fits: the
+    fallback verifies it as a min-id star (the recursion used to run
+    until ``RecursionError``)."""
+    import ray.data
+
+    from lexor_ray.ops.dedup import embedding_neardup
+
+    vec = np.random.default_rng(9).standard_normal(64).tolist()
+    ds = ray.data.from_items([{"vec_id": 10 + i, "embedding": vec} for i in range(6)])
+    got = embedding_neardup(None, threshold=0.95, n_planes=4, max_bucket=4, ds=ds)
+    assert list(zip(got["a"], got["b"])) == [(10, 11), (10, 12), (10, 13), (10, 14), (10, 15)]
+    assert (got["cosine"] == 1.0).all()
 
 
 def test_tfidf_join_tier_matches_broadcast_tier(ray_session):
@@ -1720,6 +1744,103 @@ def test_one_keyed_shuffle_in_package():
         },
     }
     assert bypass == []
+
+
+def test_one_reader_in_package():
+    """Every parquet read of the package goes through
+    ``ops/util.read_table``, which sizes its block count to the cluster;
+    only ``pipeline.read_transcripts`` calls Ray's reader too, with the
+    block count ``run_extraction`` gives it (one block per input file).
+    Checked on the syntax tree, so a DuckDB ``read_parquet('...')``
+    string does not count."""
+    import ast
+    import pathlib
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "lexor_ray"
+    hits: dict[str, set] = {"read_parquet(": set(), "override_num_blocks": set()}
+    for path in sorted(pkg.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name == "read_parquet":
+                    hits["read_parquet("].add(f"{path.relative_to(pkg)}:{owner}")
+                if any(k.arg == "override_num_blocks" for k in node.keywords):
+                    hits["override_num_blocks"].add(f"{path.relative_to(pkg)}:{owner}")
+    assert hits == {
+        "read_parquet(": {"ops/util.py:read_table", "pipeline.py:read_transcripts"},
+        "override_num_blocks": {"ops/util.py:read_table", "pipeline.py:run_extraction"},
+    }
+
+
+def test_reads_sized_to_cluster(ray_session, tmp_path, monkeypatch):
+    """An operator read is one block per cluster CPU, or as many blocks
+    of at most ``DataContext.target_max_block_size`` as the parquet
+    footers' uncompressed bytes of the read columns need — not Ray's
+    default of ~1 MiB blocks with a floor of two per CPU. A directory
+    table sums the footers of all its files."""
+    import math
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data
+    from ray.data import DataContext
+
+    from lexor_ray.ops.util import column_bytes, table_rows, tbl
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    rng = np.random.default_rng(3)
+    n = 400_000
+    t = pa.table({"a": rng.integers(0, 2**62, n), "b": rng.standard_normal(n)})
+    pq.write_table(t, tmp_path / "big.parquet", row_group_size=50_000)
+    parts = tmp_path / "docs.parquet"
+    parts.mkdir()
+    pq.write_table(t.slice(0, 250_000), parts / "part-0.parquet")
+    pq.write_table(t.slice(250_000), parts / "part-1.parquet")
+
+    def a_bytes(*files):
+        mds = [pq.read_metadata(f) for f in files]
+        rgs = [md.row_group(r) for md in mds for r in range(md.num_row_groups)]
+        return sum(rg.column(0).total_uncompressed_size for rg in rgs)
+
+    # a multi-MB table (more of Ray's 1 MiB blocks than CPUs) reads as
+    # one block per CPU, a single file and a two-file directory alike
+    assert t.nbytes > cpus * 2**20
+    assert tbl(str(tmp_path), "big").materialize().num_blocks() == cpus
+    assert tbl(str(tmp_path), "docs").materialize().num_blocks() == cpus
+
+    # the two-file directory sums both footers
+    two = (parts / "part-0.parquet", parts / "part-1.parquet")
+    assert table_rows(str(tmp_path), "docs") == n
+    assert column_bytes(str(tmp_path), "docs", "a") == a_bytes(*two)
+
+    # a lowered block cap asks for ceil(footer bytes / cap) blocks
+    asked = []
+    read_parquet = ray.data.read_parquet
+
+    def spy(*args, **kwargs):
+        asked.append(kwargs.get("override_num_blocks"))
+        return read_parquet(*args, **kwargs)
+
+    monkeypatch.setattr(ray.data, "read_parquet", spy)
+    ctx = DataContext.get_current()
+    cap = ctx.target_max_block_size
+    ctx.target_max_block_size = 256 * 1024
+    try:
+        tbl(str(tmp_path), "big", columns=["a"])
+        tbl(str(tmp_path), "docs", columns=["a"])
+    finally:
+        ctx.target_max_block_size = cap
+    want = [
+        math.ceil(a_bytes(tmp_path / "big.parquet") / (256 * 1024)),
+        math.ceil(a_bytes(*two) / (256 * 1024)),
+    ]
+    assert min(want) > cpus
+    assert asked == want
 
 
 def test_fold_blocks_finishes_in_one_call(ray_session):
