@@ -23,9 +23,8 @@ Differences from the reference (deliberate):
   object resolved from a plain dict registry, not from filesystem
   style-module discovery (``lexor/command/lang.py:140-173``); this is
   the per-worker state of SURVEY.md §2.7 — a Parser is constructed
-  ONCE per worker process (the per-worker cache, ``ops/util.cached``
-  and ``pipeline._WORKER_EXTRACTORS``) and reused for every row of
-  every batch.
+  ONCE per worker process (the per-worker cache, ``ops/util.cached``)
+  and reused for every row of every batch.
 - The log is a plain list of dict records instead of a Document of
   ``Void('msg')`` nodes (``parser.py:287-303``); it becomes an Arrow
   ``list<struct>`` column downstream.

@@ -3,9 +3,9 @@
 The reference's plugin ecosystem shipped html→markdown converter/writer
 styles externally (SURVEY.md intro; plugin contract §2.9). This module
 provides that capability through the real NodeWriter machinery
-(``lexor_ray.core.writer``): per-node-name writers emitting markdown,
-exercising the buffered wrap engine (``writer.py:221-353`` semantics)
-via ``endl`` and raw/wrap modes.
+(``lexor_ray.core.writer``): per-node-name writers emitting markdown
+through ``endl`` and, for ``<pre>``, the raw toggles. The style never
+wraps (see :func:`to_markdown`).
 
 Supported structure: headings h1–h6, paragraphs, bold/italic/code,
 links, images, lists (unordered/ordered, nested), blockquote,

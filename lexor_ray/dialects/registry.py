@@ -11,7 +11,7 @@ Here a dialect is a :class:`Dialect` object registered in a module
 dict. A Ray task receives the *dialect name* (a small string, cheap
 to ship with every task) and resolves + compiles the tables once per
 worker process through the per-worker cache
-(``pipeline._WORKER_EXTRACTORS``), amortized over all batches
+(``ops.util.cached``), amortized over all batches
 (SURVEY.md §2.7).
 """
 

@@ -58,7 +58,7 @@ class TextSpanWriter:
 class Extractor:
     """Parse+convert+write state bundle — built once per worker
     process (the §2.7 registry state, held in the per-worker cache
-    ``pipeline._WORKER_EXTRACTORS``), then applied per row."""
+    ``ops.util.cached``), then applied per row."""
 
     def __init__(self, dialect: str = "html-text") -> None:
         d = get_dialect(dialect)
@@ -162,18 +162,12 @@ class Extractor:
         return self.parser.parse(text, uri)
 
 
-#: per-requested-NAME cache (bounded: dialect names are a small fixed
-#: set). Keyed by the argument, not Dialect.name — a registered alias
-#: (e.g. 'xml' resolving to the 'html' dialect) would otherwise miss
-#: the cache and rebuild the Extractor per call (r5 review).
-_DEFAULT: dict[str, Extractor] = {}
-
-
 def extract_one(text: str, dialect: str = "html-text") -> dict:
-    """Module-level convenience for tests / single-shot use. Ray stages
-    reuse one :class:`Extractor` per worker process through the
-    per-worker cache (``pipeline._WORKER_EXTRACTORS``)."""
-    ext = _DEFAULT.get(dialect)
-    if ext is None:
-        ext = _DEFAULT[dialect] = Extractor(dialect)
-    return ext.extract_one(text)
+    """Module-level convenience for tests / single-shot use. One
+    :class:`Extractor` per requested dialect NAME lives in the per-worker
+    cache (``ops.util.cached``): keyed by the argument, not Dialect.name,
+    so an alias (e.g. 'xml' for the 'html' dialect) is not rebuilt per
+    call."""
+    from .ops.util import cached
+
+    return cached(("extractor", dialect), lambda: Extractor(dialect)).extract_one(text)

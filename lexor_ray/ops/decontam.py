@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .util import tbl
+from .util import cached_for_ref, tbl
 
 BENCH_MOD = 97  #: doc_id % BENCH_MOD == 0 → benchmark member
 SNIP_START = 10  #: 0-based char offset of the snippet
@@ -145,7 +145,6 @@ class ContaminationChecker:
     def __init__(self, snips_ref, grams_ref) -> None:
         import ray
 
-        self.ref = snips_ref
         self.snips = ray.get(snips_ref)
         self.grams = pd.Index(ray.get(grams_ref))
 
@@ -191,16 +190,11 @@ def decontaminate(sf_dir: str):
     ds = tbl(sf_dir, "documents", columns=["doc_id", "text"])
 
     def check(batch: pd.DataFrame) -> pd.DataFrame:
-        # ONE worker-cache slot, replaced when the benchmark ref
-        # changes — keying by ref would grow the cache per call
-        # (the r2 LSH cache-leak lesson)
-        from .util import _WORKER_CACHE
-
-        inst = _WORKER_CACHE.get("contam-checker")
-        if inst is None or inst.ref != snips_ref:
-            inst = _WORKER_CACHE["contam-checker"] = ContaminationChecker(
-                snips_ref, grams_ref
-            )
+        inst = cached_for_ref(
+            "contam-checker",
+            snips_ref,
+            lambda: ContaminationChecker(snips_ref, grams_ref),
+        )
         return inst(batch)
 
     return ds.map_batches(check, batch_format="pandas")

@@ -231,16 +231,15 @@ def coarse_apply(ds, keys: list[str], fn, schema: pa.Schema, n_buckets: int = 25
         # hash only the key columns: converting the whole batch to
         # pandas costs more than the hash itself on wide tables
         h = pd.util.hash_pandas_object(batch.select(keys).to_pandas(), index=False)
-        return batch.append_column(
-            "__bucket", pa.array((h % n_buckets).astype("int32"))
-        )
+        # no pandas metadata on either side of the shuffle: Ray hashes
+        # block schemas to dedupe them, and a metadata dict is unhashable
+        bucket = pa.array((h % n_buckets).astype("int32"))
+        return batch.append_column("__bucket", bucket).replace_schema_metadata()
 
     def per_bucket(g: pd.DataFrame) -> pa.Table:
         out = fn(g.drop(columns="__bucket"))
         if len(out) == 0:
             return schema.empty_table()
-        # no pandas metadata: Ray hashes block schemas to dedupe them,
-        # and a metadata dict is unhashable
         t = pa.Table.from_pandas(out, schema=schema, preserve_index=False)
         return t.replace_schema_metadata()
 

@@ -43,6 +43,7 @@ import numpy as np
 import pyarrow as pa
 
 from .extract import Extractor
+from .ops.util import cached
 
 EXTRACT_INPUT_COLUMNS = ["conv_id", "turn_idx", "text"]
 
@@ -76,7 +77,7 @@ def transcript_schema() -> pa.Schema:
 class ExtractBatch:
     """Batch UDF: parse→convert→write per row, fused (SURVEY.md §2.2
     legend). Dialect registries are compiled once in ``__init__`` and
-    the instance is cached per worker process (``_WORKER_EXTRACTORS``)
+    the instance is cached per worker process (``ops.util.cached``)
     — the Ray restatement of the reference's ``_reload`` amortization
     (``parser.py:159-160``)."""
 
@@ -181,28 +182,15 @@ class ExtractBatch:
         return out
 
 
-#: per-worker-process extractor cache: Ray reuses worker processes
-#: across tasks, so the compiled dialect registries are built once per
-#: worker, without an actor pool's dispatch overhead (an actor pool
-#: measured 1.7-3x slower for this workload on Ray 2.49 local mode;
-#: see BASELINE.md).
-_WORKER_EXTRACTORS: dict[tuple, "ExtractBatch"] = {}
-
-
 def _extract_batches(
     batch, dialect, emit_log, emit_lineage, max_batch_chars, carry_source=True
 ):
-    key = (dialect, emit_log, emit_lineage, max_batch_chars, carry_source)
-    ex = _WORKER_EXTRACTORS.get(key)
-    if ex is None:
-        ex = _WORKER_EXTRACTORS[key] = ExtractBatch(
-            dialect=dialect,
-            emit_log=emit_log,
-            emit_lineage=emit_lineage,
-            max_batch_chars=max_batch_chars,
-            carry_source=carry_source,
-        )
-    yield from ex(batch)
+    # Ray reuses worker processes across tasks, so the per-worker cache
+    # builds the compiled dialect registries once per worker, without an
+    # actor pool's dispatch overhead (an actor pool measured 1.7-3x
+    # slower for this workload on Ray 2.49 local mode; see BASELINE.md)
+    args = (dialect, emit_log, emit_lineage, max_batch_chars, carry_source)
+    yield from cached(("extract-batch", *args), lambda: ExtractBatch(*args))(batch)
 
 
 def extract_ds(

@@ -1746,6 +1746,28 @@ def test_one_keyed_shuffle_in_package():
     assert bypass == []
 
 
+def test_one_worker_cache_in_package():
+    """Per-worker state lives in one dict, ``ops/util._WORKER_CACHE``,
+    reached through ``cached`` / ``cached_for_ref``: no other module
+    names a ``_WORKER_*`` variable or keeps its own copy. Checked on
+    the syntax tree, so prose in docstrings does not count."""
+    import ast
+    import pathlib
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "lexor_ray"
+    hits = set()
+    for path in sorted(pkg.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [
+                getattr(node, "id", None),
+                getattr(node, "attr", None),
+                *(getattr(a, "name", a) for a in getattr(node, "names", [])),
+            ]
+            if any(n and n.startswith("_WORKER_") for n in names):
+                hits.add(str(path.relative_to(pkg)))
+    assert hits == {"ops/util.py"}
+
+
 def test_one_reader_in_package():
     """Every parquet read of the package goes through
     ``ops/util.read_table``, which sizes its block count to the cluster;

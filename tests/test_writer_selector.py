@@ -2,9 +2,10 @@
 
 from lexor_ray.core.parser import Parser
 from lexor_ray.core.selector import matches, remove_matching, select
-from lexor_ray.core.writer import Writer, find_whitespace, replace
+from lexor_ray.core.dom import Document, Element
+from lexor_ray.core.writer import Writer, replace
 from lexor_ray.dialects.markdown import to_markdown
-from lexor_ray.dialects.registry import get_dialect
+from lexor_ray.dialects.registry import Dialect, get_dialect
 
 
 def parse(text):
@@ -19,9 +20,234 @@ def test_replace_one_pass():
     )
 
 
-def test_find_whitespace():
-    assert find_whitespace("ab cd ef", 0, 4) == 2
-    assert find_whitespace("abcdef", 0, 3) == 6
+#: wrap-engine scripts run inside a ``writer_pre`` hook: each step is
+#: ``(method, *args)``, or ``(".attr", value)`` / ``(":attr", value)``
+#: to set a property or a state field. Each golden pins the output and
+#: ``last()`` after every step.
+'tiny\nextraordinarily\nlong\nwords\nend\n'
+['\n', '\n', '\n', 'long\nwords', 'words\nend', '\n']
+
+'ab\ncd\nef'
+['\n', '\n', '\n', 'cd\nef']
+
+'abcdef'
+['\n', '\n', '\n', '\nabcdef', 'abcdef']
+
+'key=value\n,other=thing,\nx ya\nb\n/cdefgh/ij/zz\n'
+['\n', '\n', '\n', '\nkey=value,other=thing', 'key=value\n,other=thing,', ',other=thing,\nx y', 'x ya\nb/cdefgh/ij', 'b\n/cdefgh/ij/', 'b\n/cdefgh/ij/zz', '\n']
+
+'ab::cd::\nefgh ijkl\nmnop::qrqr\n\n'
+['\n', '\n', '\n', '\nab::cd', '\nab::cd::', 'efgh ijkl\nmnop::qr', 'efgh ijkl\nmnop::qrqr', '\n\n']
+
+'one twothree\n  four five\n  six\nseven eight\n\tnine ten'
+['\n', '\n', '\n', '\none two ', 'one two', '  four five\nsix', '\n', '\n', '\nseven  ', 'seven ', 'eight\nnine ten']
+
+'> a\n> \n> b\n> c\n\n> quoted\n> text\n> wraps\n> here\n> \n> again\n> \n> '
+['\n', '\n', '\n', '> a\n> \n> b\n> ', 'c', '\n\n', '\n\n', '\n\n', '\nagain', '\n', '\n']
+
+'  a\n\n  b\n  \n  '
+['\n', '\n', '  a\n\n  b\n', '  a\n\n  b\n', '  a\n\n  b\n', '  ', '\n  ']
+
+'  x \n\n   y'
+['\n', '\n', '\n', '\n', '  ', '  ', '  ', '  x ', '\n\n', '  ', '  ', '   y']
+
+'lorem\nipsum\ndolorRAW TEXT LONGER THAN TEN\nsit amet\nconsecteturplain\nlines x|'
+['\n', '\n', '\n', 'ipsum\ndolor', 'dolor', 'RAW TEXT LONGER THAN TEN\n', 'RAW TEXT LONGER THAN TEN\n', 'sit amet\nconsectetur', 'consectetur', 'plain\nlines', 'plain\nlines', 'plain\nlines x', ' x', '|']
+
+'\tabcdefghijk l m\n\tn o p\n\tlead\n\tq \n\n\n'
+['\n', '\n', '\n', '\tabcdefghij', '\tabcdefghij', 'k l m\nn o p', '\n', '\tlead\n', '\tlead\n', '\tlead\nq  ', '\n\n\n']
+
+'  \n  a\n  b\n  \n  c\n  \n  d\n'
+['\n', '\n', '\n', '\n', '  \nc', '  \nd', '  d', '\n']
+
+WRAP_GOLDENS = [
+    # look-ahead cut: a word longer than the budget runs to the next space
+    (
+        [
+            (".width", 8), ("disable_raw",), ("enable_wrap",),
+            ("write_str", "tiny extraordinarily long words"),
+            ("write_str", " end"), ("endl",),
+        ],
+        "tiny\nextraordinarily\nlong\nwords\nend\n",
+        [
+            "\n", "\n", "\n", "long\nwords", "words\nend", "\n",
+        ],
+    ),
+    # last space at or before the budget
+    (
+        [
+            (".width", 4), ("disable_raw",), ("enable_wrap",),
+            ("write_str", "ab cd ef"),
+        ],
+        "ab\ncd\nef",
+        [
+            "\n", "\n", "\n", "cd\nef",
+        ],
+    ),
+    # no space anywhere: the line stays whole
+    (
+        [
+            (".width", 3), ("disable_raw",), ("enable_wrap",),
+            ("write_str", "abcdef"), ("flush_buffer",),
+        ],
+        "abcdef",
+        [
+            "\n", "\n", "\n", "\nabcdef", "abcdef",
+        ],
+    ),
+    # split hints: extra cut points, used once and then dropped
+    (
+        [
+            (".width", 10), ("disable_raw",), ("enable_wrap",),
+            ("write_str", "key=value,other=thing"), ("write_str", ",", True),
+            ("write_str", " x y"), ("write_str", "a b/cdefgh/ij"),
+            ("write_str", "/", True), ("write_str", "zz", True),
+            ("endl", False),
+        ],
+        "key=value\n,other=thing,\nx ya\nb\n/cdefgh/ij/zz\n",
+        [
+            "\n", "\n", "\n", "\nkey=value,other=thing",
+            "key=value\n,other=thing,", ",other=thing,\nx y",
+            "x ya\nb/cdefgh/ij", "b\n/cdefgh/ij/", "b\n/cdefgh/ij/zz", "\n",
+        ],
+    ),
+    (
+        [
+            (".width", 12), ("disable_raw",), ("enable_wrap",),
+            ("write_str", "ab::cd"), ("write_str", "::", True),
+            ("write_str", " efgh ijkl mnop::qr"), ("write_str", "qr", True),
+            ("endl", True, 2),
+        ],
+        "ab::cd::\nefgh ijkl\nmnop::qrqr\n\n",
+        [
+            "\n", "\n", "\n", "\nab::cd", "\nab::cd::", "efgh ijkl\nmnop::qr",
+            "efgh ijkl\nmnop::qrqr", "\n\n",
+        ],
+    ),
+    # indent set mid-line drops one trailing space of the pending line
+    (
+        [
+            (".width", 12), ("disable_raw",), ("enable_wrap",),
+            ("write_str", "one two "), (".indent", "  "),
+            ("write_str", "three four five six"), ("endl",), (".indent", ""),
+            ("write_str", "seven  "), (".indent", "\t"),
+            ("write_str", "eight nine ten"),
+        ],
+        "one twothree\n  four five\n  six\nseven eight\n\tnine ten",
+        [
+            "\n", "\n", "\n", "\none two ", "one two", "  four five\nsix",
+            "\n", "\n", "\nseven  ", "seven ", "eight\nnine ten",
+        ],
+    ),
+    # _indent_empty pads empty lines too, in indent and wrap mode
+    (
+        [
+            (":_indent_empty", True), ("disable_raw",), (".indent", "> "),
+            ("write_str", "a\n\nb\n"), ("write_str", "c"), ("endl", True, 2),
+            ("enable_wrap",), (".width", 9),
+            ("write_str", "quoted text wraps here\n\nagain"), ("endl",),
+            ("endl",),
+        ],
+        "> a\n> \n> b\n> c\n\n> quoted\n> text\n> wraps\n> here\n> \n> again\n> \n> ",
+        [
+            "\n", "\n", "\n", "> a\n> \n> b\n> ", "c", "\n\n", "\n\n", "\n\n",
+            "\nagain", "\n", "\n",
+        ],
+    ),
+    (
+        [
+            ("disable_raw",), (".indent", "  "), ("write_str", "a\n\nb\n"),
+            ("write_str", ""), (":_indent_empty", True), ("write_str", ""),
+            ("write_str", "\n"),
+        ],
+        "  a\n\n  b\n  \n  ",
+        [
+            "\n", "\n", "  a\n\n  b\n", "  a\n\n  b\n", "  a\n\n  b\n", "  ",
+            "\n  ",
+        ],
+    ),
+    # endl(force=False) right after an indent writes no newline
+    (
+        [
+            (":_indent_empty", True), ("disable_raw",), ("enable_wrap",),
+            (".indent", "  "), ("flush_buffer",), ("endl", False),
+            ("endl", False, 1, True), ("write_str", "x "),
+            ("endl", False, 2, True), ("endl", False), ("endl", True, 0),
+            ("write_str", " y"),
+        ],
+        "  x \n\n   y",
+        [
+            "\n", "\n", "\n", "\n", "  ", "  ", "  ", "  x ", "\n\n", "  ",
+            "  ", "   y",
+        ],
+    ),
+    # raw toggles flush the pending line
+    (
+        [
+            (".width", 10), ("disable_raw",), ("enable_wrap",),
+            ("write_str", "lorem ipsum dolor"), ("enable_raw",),
+            ("write_str", "RAW TEXT LONGER THAN TEN\n"), ("disable_raw",),
+            ("write_str", "sit amet consectetur"), ("disable_wrap",),
+            ("write_str", "plain\nlines"), ("enable_wrap",),
+            ("write_str", " x"), ("enable_raw",), ("write_str", "|"),
+        ],
+        "lorem\nipsum\ndolorRAW TEXT LONGER THAN TEN\nsit amet\n"
+        "consecteturplain\nlines x|",
+        [
+            "\n", "\n", "\n", "ipsum\ndolor", "dolor",
+            "RAW TEXT LONGER THAN TEN\n", "RAW TEXT LONGER THAN TEN\n",
+            "sit amet\nconsectetur", "consectetur", "plain\nlines",
+            "plain\nlines", "plain\nlines x", " x", "|",
+        ],
+    ),
+    # past the budget: the column is already beyond width when wrap starts
+    (
+        [
+            (".width", 6), ("disable_raw",), (".indent", "\t"),
+            ("write_str", "abcdefghij"), ("enable_wrap",),
+            ("write_str", "k l m n o p"), ("endl", False, 1, True),
+            ("write_str", " lead  "), ("flush_buffer", False),
+            ("write_str", "q  "), ("endl", False, 3, False),
+        ],
+        "\tabcdefghijk l m\n\tn o p\n\tlead\n\tq \n\n\n",
+        [
+            "\n", "\n", "\n", "\tabcdefghij", "\tabcdefghij", "k l m\nn o p",
+            "\n", "\tlead\n", "\tlead\n", "\tlead\nq  ", "\n\n\n",
+        ],
+    ),
+    # leading spaces at a line start and a budget of zero
+    (
+        [
+            (".width", 2), ("disable_raw",), ("enable_wrap",),
+            (".indent", "  "), ("write_str", " a b  c"),
+            ("write_str", "\n d"), ("flush_buffer", True), ("write_str", " "),
+        ],
+        "  \n  a\n  b\n  \n  c\n  \n  d\n",
+        [
+            "\n", "\n", "\n", "\n", "  \nc", "  \nd", "  d", "\n",
+        ],
+    ),
+]
+
+
+def _play(script):
+    lasts = []
+
+    def pre(w, _root):
+        for name, *args in script:
+            if name[0] in ".:":
+                setattr(w, name[1:], *args)
+            else:
+                getattr(w, name)(*args)
+            lasts.append(w.last())
+
+    d = Dialect(name="wrap-golden", hooks={"writer_pre": pre})
+    return Writer(d).write(Document()), lasts
+
+
+def test_wrap_engine_goldens():
+    for script, out, lasts in WRAP_GOLDENS:
+        assert _play(script) == (out, lasts), script
 
 
 def test_default_writer_roundtrips_xmlish():
@@ -31,22 +257,26 @@ def test_default_writer_roundtrips_xmlish():
 
 
 def test_wrap_engine():
-    w = Writer()
-    w._file.__init__()
-    w.pos = [1, 1]
-    w.prev_str = "\n"
-    w._buffer = ""
-    w._break_hint = []
-    w._indent = ""
-    w._indent_empty = False
-    w.width = 20
-    w._raw = False
-    w._wrap = True
-    w.write_str("aaa bbb ccc ddd eee fff ggg hhh")
-    w.flush_buffer()
-    out = w._file.getvalue()
+    def pre(w, _root):
+        w.disable_raw()
+        w.enable_wrap()
+        w.width = 20
+
+    doc = Document()
+    doc.append_child("aaa bbb ccc ddd eee fff ggg hhh")
+    out = Writer(Dialect(name="wrap-20", hooks={"writer_pre": pre})).write(doc)
     assert all(len(line) <= 20 for line in out.split("\n"))
     assert out.replace("\n", " ") == "aaa bbb ccc ddd eee fff ggg hhh"
+
+
+def test_deep_chain_writes_without_recursion():
+    doc = Document()
+    node = doc
+    for _ in range(10_000):
+        node = node.append_child(Element("b"))
+    node.append_child("x")
+    out = Writer().write(doc)
+    assert out == "<b>" * 10_000 + "x" + "</b>" * 10_000
 
 
 MD_GOLDEN = [
