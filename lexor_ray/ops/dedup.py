@@ -574,13 +574,12 @@ def _pairs_with_jaccard(sf_dir: str, threshold: float | None, small_limit=None):
     if small:
         # verify stays distributed (per-batch Jaccard over the pair
         # Dataset); only the MEASURED-SMALL (a, b, jaccard) result is
-        # collected, so the final ordering is a local sort instead of
-        # a whole Dataset sort stage (one fewer all-to-all + executor
-        # startup on the hot bench path)
+        # collected. Neither tier orders its rows.
         scored = _score_pairs(_broadcast_pair_texts(cand, docs), threshold)
-        out = collect(scored, _JACCARD_PAIRS).sort_values(["a", "b"])
-        return pa.Table.from_pandas(out, schema=_JACCARD_PAIRS, preserve_index=False)
-    return _score_pairs(_join_pair_texts(cand, docs), threshold).sort(["a", "b"])
+        return pa.Table.from_pandas(
+            collect(scored, _JACCARD_PAIRS), schema=_JACCARD_PAIRS, preserve_index=False
+        )
+    return _score_pairs(_join_pair_texts(cand, docs), threshold)
 
 
 def _batch_shingle_hash_sets(text_col, k: int = 3):
@@ -832,7 +831,7 @@ def shingle_overlap_pairs(sf_dir: str, k: int = 3):
     )
     return coarse_apply(
         paired, ["pair_id"], functools.partial(_bucket_shingle_overlap, k=k), schema
-    ).sort("a")
+    )
 
 
 def jaccard(a_text: str, b_text: str, k: int = 3) -> float:
@@ -1219,7 +1218,7 @@ def simhash_candidates(
     schema = pa.schema([(c, pa.int64()) for c in ("a", "b", "hamming")])
     exploded = sigs.map_batches(explode, batch_format="pyarrow")
     cand = band_pairs(exploded, "doc_id", schema, direct_cap, split, verify=hamming)
-    return coarse_dedup(cand, ["a", "b"], schema).sort(["a", "b"])
+    return coarse_dedup(cand, ["a", "b"], schema)
 
 
 def simhash_bucket_pairs(
@@ -1324,7 +1323,7 @@ def embedding_neardup(
     a part no plane splits (identical vectors) is verified as a min-id
     star.
 
-    Returns the ``(a, b, cosine)`` pairs, sorted, as a pandas frame
+    Returns the ``(a, b, cosine)`` pairs, unordered, as a pandas frame
     (``util.collect``: typed even when no pair survives).
     """
     from .similarity import sign_keys
@@ -1383,7 +1382,7 @@ def embedding_neardup(
     schema = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("cosine", pa.float64())])
     bucketed = ds.map_batches(bucket_batches, batch_format="pyarrow")
     cand = band_pairs(bucketed, "vec_id", schema, max_bucket, split, verify=cosine)
-    return collect(coarse_dedup(cand, ["a", "b"], schema).sort(["a", "b"]), schema)
+    return collect(coarse_dedup(cand, ["a", "b"], schema), schema)
 
 
 def _split_verify(
@@ -1485,12 +1484,8 @@ def neardup_candidates(sf_dir: str):
             }
         )
 
-    # the identity-format maps also normalize block formats so the
-    # post-union sort sampler sees homogeneous arrow blocks
-    # (CLAUDE.md union gotcha)
     return (
         nj.map_batches(tag_jaccard, batch_format="pyarrow")
         .union(sh.map_batches(tag_simhash, batch_format="pyarrow"))
         .union(sd.map_batches(tag_semdedup, batch_format="pyarrow"))
-        .sort(["algo", "a", "b"])
     )

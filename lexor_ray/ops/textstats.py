@@ -571,10 +571,7 @@ def tfidf_top_terms(sf_dir: str, top_k: int = 3, min_df: int = 2, vocab_limit=No
         )
         return out
 
-    return (
-        ds.map_batches(score, batch_format="pandas")
-        .sort(["source", "doc_id", "term"])
-    )
+    return ds.map_batches(score, batch_format="pandas")
 
 
 def _tfidf_joined(ds, df_ds, n_docs: int, top_k: int):
@@ -702,9 +699,7 @@ def _tfidf_joined(ds, df_ds, n_docs: int, top_k: int):
             ("tfidf", pa.float64()),
         ]
     )
-    return coarse_apply(scored, ["doc_id"], bucket_topk, schema).sort(
-        ["source", "doc_id", "term"]
-    )
+    return coarse_apply(scored, ["doc_id"], bucket_topk, schema)
 
 
 def _nunique_per_row(split: pd.Series) -> np.ndarray:

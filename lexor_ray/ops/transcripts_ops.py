@@ -99,9 +99,7 @@ def extract_links(sf_dir: str):
             }
         )
 
-    return ds.map_batches(links, batch_format="pandas").sort(
-        ["conv_id", "turn_idx", "url"]
-    )
+    return ds.map_batches(links, batch_format="pandas")
 
 
 def extraction_log_summary(sf_dir: str):
@@ -170,17 +168,19 @@ class MarkdownBatch:
 
 
 def extract_markdown(sf_dir: str):
-    """Flagship variant: html→markdown per turn (rows-only check)."""
+    """Flagship variant: html→markdown per turn, unordered like every
+    per-row operator; a consumer that needs turn order calls
+    ``pipeline.stable_order``, as perfbench's ``extract`` workload
+    does."""
     src = transcripts_for(sf_dir)
     ds = read_table(src, columns=["conv_id", "turn_idx", "text"])
     from .util import cached
 
-    out = ds.map_batches(
+    return ds.map_batches(
         lambda b: cached("markdown", MarkdownBatch)(b),
         batch_format="pyarrow",
         batch_size=512,
     )
-    return out.sort(["conv_id", "turn_idx"])
 
 
 def validate_extraction(sf_dir: str):
@@ -276,7 +276,7 @@ def turns_per_conversation(sf_dir: str):
     )
     return fold_keyed(
         ds.map_batches(partial, batch_format="pyarrow"), ["conv_id"], schema
-    ).sort("conv_id")
+    )
 
 
 def role_distribution(sf_dir: str):
@@ -316,6 +316,4 @@ def exact_dedup_turns(sf_dir: str):
     schema = pa.schema(
         [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("n_copies", pa.int64())]
     )
-    return fold_keyed(
-        ds.map_batches(partial, batch_format="pyarrow"), keys, schema
-    ).sort(keys)
+    return fold_keyed(ds.map_batches(partial, batch_format="pyarrow"), keys, schema)

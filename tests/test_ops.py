@@ -552,8 +552,10 @@ def test_minhash_dedup_distributed_join_cross_block(ray_session, tmp_path, monke
 
     monkeypatch.setattr(dedup, "_join_pair_texts", join_tier)
     got2 = df(minhash_dedup(str(tmp_path), threshold=0.8))
+    # neither tier orders its rows (README ordering contract)
     pd.testing.assert_frame_equal(
-        got.reset_index(drop=True), got2.reset_index(drop=True)
+        got.sort_values(["a", "b"], ignore_index=True),
+        got2.sort_values(["a", "b"], ignore_index=True),
     )
 
 
@@ -765,6 +767,7 @@ def test_embedding_neardup_identical_vectors_above_max_bucket(ray_session):
     vec = np.random.default_rng(9).standard_normal(64).tolist()
     ds = ray.data.from_items([{"vec_id": 10 + i, "embedding": vec} for i in range(6)])
     got = embedding_neardup(None, threshold=0.95, n_planes=4, max_bucket=4, ds=ds)
+    got = got.sort_values(["a", "b"])
     assert list(zip(got["a"], got["b"])) == [(10, 11), (10, 12), (10, 13), (10, 14), (10, 15)]
     assert (got["cosine"] == 1.0).all()
 
@@ -774,8 +777,9 @@ def test_tfidf_join_tier_matches_broadcast_tier(ray_session):
     join) must produce exactly the broadcast tier's output."""
     from lexor_ray.ops.textstats import tfidf_top_terms
 
-    a = df(tfidf_top_terms(SF)).reset_index(drop=True)
-    b = df(tfidf_top_terms(SF, vocab_limit=0)).reset_index(drop=True)
+    keys = ["source", "doc_id", "term"]
+    a = df(tfidf_top_terms(SF)).sort_values(keys, ignore_index=True)
+    b = df(tfidf_top_terms(SF, vocab_limit=0)).sort_values(keys, ignore_index=True)
     pd.testing.assert_frame_equal(a, b)
 
 
@@ -1673,7 +1677,9 @@ def test_turns_per_conversation_counts_null_text(ray_session, tmp_path, monkeypa
         tmp_path / "part-0.parquet",
     )
     monkeypatch.setattr(transcripts_ops, "transcripts_for", lambda _: str(tmp_path))
-    got = df(transcripts_ops.turns_per_conversation("unused"))
+    got = df(transcripts_ops.turns_per_conversation("unused")).sort_values(
+        "conv_id", ignore_index=True
+    )
     want = duckdb.sql(
         f"""SELECT conv_id,
                    CAST(sum(length(text)) AS BIGINT) AS total_chars,
@@ -1795,6 +1801,56 @@ def test_one_reader_in_package():
     assert hits == {
         "read_parquet(": {"ops/util.py:read_table", "pipeline.py:read_transcripts"},
         "override_num_blocks": {"ops/util.py:read_table", "pipeline.py:run_extraction"},
+    }
+
+
+def test_sorts_follow_ordering_contract():
+    """A global sort is an all-to-all shuffle, so only the outputs the
+    README ordering contract promises pay one: the extraction
+    pipeline's stable ``(conv_id, turn_idx)`` order, the two global
+    top-ks, the key-bounded distinct-user roll-up and the quantiles.
+    Every other operator returns its rows unordered. Checked on the
+    syntax tree: a ``.sort(`` call counts unless its receiver is
+    ``np`` or a list the function builds itself. The sort Ray's
+    ``map_groups`` runs inside ``ops/util.coarse_apply`` is no call
+    of the package and does not count."""
+    import ast
+    import pathlib
+
+    def local_lists(fn) -> set:
+        names = set()
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                value = node.value
+                is_list = isinstance(value, (ast.List, ast.ListComp)) or (
+                    isinstance(value, ast.Call)
+                    and getattr(value.func, "id", None) in ("list", "sorted")
+                )
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                if is_list:
+                    names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        return names
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "lexor_ray"
+    hits = set()
+    for path in sorted(pkg.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            lists = local_lists(top) | {"np"}
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "sort"
+                    and getattr(node.func.value, "id", None) not in lists
+                ):
+                    owner = getattr(top, "name", "<module>")
+                    hits.add(f"{path.relative_to(pkg)}:{owner}")
+    assert hits == {
+        "pipeline.py:stable_order",
+        "ops/relational.py:q3_top_revenue_orders",
+        "ops/relational.py:top_customers_by_balance",
+        "ops/sketch.py:approx_distinct_users",
+        "ops/sketch.py:value_quantile_sketch",
     }
 
 

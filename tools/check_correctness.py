@@ -1,6 +1,9 @@
 """Local replica of the driver's correctness gate: run every
 ``queries()`` entry at a given sf and compare with ``oracle_sql()``
-via DuckDB (row count, schema names, order-insensitive values).
+via DuckDB (row count, schema names, order-insensitive values). From
+sf0.05 on, ``minhash_dedup`` and ``dedup_clusters`` are compared with
+the exact numpy all-pairs replay of ``tools/verify_pairs.py`` instead
+of their quadratic SQL.
 
 Usage: python tools/check_correctness.py [sf_dir] [query ...]
 """
@@ -68,7 +71,7 @@ def main() -> int:
         # - ORACLE_SF must equal transcripts.sf_from_dir's resolution
         #   (0.01 fallback) — query side and oracle side then read the
         #   SAME generated transcripts, whatever the table scale;
-        # - the quadratic-oracle skip keys off the ACTUAL document
+        # - the quadratic-oracle choice keys off the ACTUAL document
         #   count (generator: 50k docs at sf=1), not the fallback, so
         #   a renamed sf0.1 copy cannot trigger the ~15-min all-pairs
         #   SQL.
@@ -104,26 +107,29 @@ def main() -> int:
         )
     qs, oracles = entry.queries(), entry.oracle_sql()
 
-    # the all-pairs DuckDB oracles are quadratic in document count —
-    # ~15 min at sf0.1 (CLAUDE.md); the numpy all-pairs script is the
-    # sf0.1 validator for these. Explicitly-named queries still run.
-    quadratic = {"minhash_dedup", "dedup_clusters"}
-    # sf_val resolved above (explicit sfN pattern or row-count inference)
     unknown = only - set(qs)
     if unknown:
         # a typo'd query name must not yield a vacuous 'ALL OK'
         # (r4 review: unmatched names were silently dropped)
         print(f"ERROR: unknown query name(s): {sorted(unknown)}")
         return 2
-    names = []
-    for name in qs:
-        if only and name not in only:
-            continue
-        if not only and sf_val >= 0.05 and name in quadratic:
-            print(f"skip {name}: quadratic oracle at sf{sf_val} "
-                  "(validated by tools/verify_pairs numpy all-pairs)")
-            continue
-        names.append(name)
+    names = [name for name in qs if not only or name in only]
+    # the all-pairs DuckDB oracles of the two quadratic queries take
+    # ~15 min at sf0.1; from sf0.05 on (sf_val resolved
+    # above) their oracle is the exact numpy all-pairs replay of
+    # tools/verify_pairs.py, at the queries' shared default threshold
+    exact = {}
+    if sf_val >= 0.05 and {"minhash_dedup", "dedup_clusters"} & set(names):
+        import inspect
+
+        from verify_pairs import exact_clusters, exact_pairs
+
+        (t,) = {  # one threshold: the clusters are the pairs' components
+            inspect.signature(qs[n]).parameters["threshold"].default
+            for n in ("minhash_dedup", "dedup_clusters")
+        }
+        pairs = exact_pairs(sf_dir, t)
+        exact = {"minhash_dedup": pairs, "dedup_clusters": exact_clusters(pairs)}
 
     def run_one(name: str) -> tuple[str, str, bool]:
         t0 = time.time()
@@ -137,7 +143,9 @@ def main() -> int:
         try:
             # a cursor per worker: duckdb connections are not safe for
             # concurrent queries, cursors share the view catalog
-            want = canon(con.cursor().sql(oracles[name]).df())
+            want = canon(
+                exact[name] if name in exact else con.cursor().sql(oracles[name]).df()
+            )
         except Exception as exc:  # noqa: BLE001
             return name, f"FAIL {name}: oracle error {exc!r}", False
         if list(got.columns) != list(want.columns):

@@ -2,10 +2,11 @@
 
 The DuckDB replays of these two queries are quadratic SQL (list_
 intersect over every candidate pair / a recursive-CTE component
-search) — ~15 minutes at sf0.1 — so tools/check_correctness.py skips
-them at sf ≥ 0.05 and THIS script is their scale-gate: an exact numpy
-all-pairs Jaccard ground truth built with the bincount pair-key trick
-(seconds at sf0.1), compared row-for-row against the Ray pipeline.
+search) — ~15 minutes at sf0.1 — so at sf ≥ 0.05 the oracle is THIS
+script's exact numpy all-pairs Jaccard ground truth, built with the
+bincount pair-key trick (seconds at sf0.1): tools/check_correctness.py
+uses :func:`exact_pairs` / :func:`exact_clusters` in process, and
+``main`` compares them row-for-row against the Ray pipeline.
 
 Usage: python tools/verify_pairs.py [sf_dir] [threshold]
 """
