@@ -14,7 +14,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .util import read_table, tbl
+from .util import fold_bounded, read_table, tbl
 
 # ---------------------------------------------------------------------------
 
@@ -111,8 +111,6 @@ def q1_pricing_summary(sf_dir: str):
         )
 
     parts = ds.map_batches(partial, batch_format="pyarrow")
-    from .util import fold_bounded
-
     # the (returnflag, linestatus) domain is a handful of pairs —
     # two-level arrow fold instead of a sort-shuffle groupby + a
     # trailing Dataset.sort (both are pure fixed overhead on 6 rows)
@@ -233,8 +231,6 @@ def order_priority_counts(sf_dir: str):
             .aggregate([("o_orderpriority", "count")])
         )
 
-    from .util import fold_bounded
-
     out = fold_bounded(
         ds.map_batches(partial, batch_format="pyarrow"), ["o_orderpriority"]
     )
@@ -309,8 +305,6 @@ def customer_nation_revenue(sf_dir: str):
             {"revenue": g["revenue"].sum(), "n_orders": g["n_orders"].sum()}
         ).reset_index()
 
-    from .util import fold_bounded
-
     out = fold_bounded(
         joined.map_batches(to_nation, batch_format="pandas"), ["n_name"]
     )
@@ -340,8 +334,6 @@ def part_type_stats(sf_dir: str):
                 ("p_size", "max"),
             ]
         )
-
-    from .util import fold_bounded
 
     out = fold_bounded(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -393,8 +385,6 @@ def events_tumbling_window(sf_dir: str, window_s: int = 3600):
         return t.group_by(["event_type", "window_start"]).aggregate(
             [("value", "sum"), ("value", "count")]
         )
-
-    from .util import fold_bounded
 
     # key domain = event types × time windows (data-independent) —
     # two-level fold, see fold_bounded
@@ -451,8 +441,6 @@ def events_sliding_window(sf_dir: str, size_s: int = 3600, step_s: int = 1800):
         return t.group_by(["event_type", "window_start"]).aggregate(
             [("value", "sum"), ("value", "count")]
         )
-
-    from .util import fold_bounded
 
     out = fold_bounded(
         ds.map_batches(explode, batch_format="pyarrow"),
@@ -654,8 +642,6 @@ def events_json_stats(sf_dir: str):
             }
         ).reset_index()
         return out
-
-    from .util import fold_bounded
 
     out = fold_bounded(
         ds.map_batches(partial, batch_format="pandas"),
@@ -1015,8 +1001,6 @@ def distinct_users_per_event_type(sf_dir: str):
     def partial(batch: pa.Table) -> pa.Table:
         return batch.group_by(["event_type"]).aggregate([("user_id", "count")])
 
-    from .util import fold_bounded
-
     return fold_bounded(
         distinct.map_batches(partial, batch_format="pyarrow"), ["event_type"]
     ).map_batches(
@@ -1039,8 +1023,6 @@ def lineitem_distinct_flags(sf_dir: str):
         return batch.group_by(["l_returnflag", "l_linestatus"]).aggregate([])
 
     parts = ds.map_batches(partial, batch_format="pyarrow")
-    from .util import fold_bounded
-
     # keys-only partials: with zero value columns fold_bounded's
     # group_by(keys).aggregate([]) IS a two-level DISTINCT fold
     return fold_bounded(parts, ["l_returnflag", "l_linestatus"])

@@ -14,7 +14,7 @@ import pyarrow.compute as pc
 
 from ..pipeline import extract_ds, read_transcripts, stable_order
 from ..transcripts import transcripts_for
-from .util import read_table
+from .util import fold_bounded, read_table
 
 
 def extract_turns(sf_dir: str):
@@ -121,8 +121,6 @@ def extraction_log_summary(sf_dir: str):
         )
         t = pa.table({"code": codes})
         return t.group_by(["code"]).aggregate([("code", "count")])
-
-    from .util import fold_bounded
 
     # message codes are a tiny fixed domain (W100/E100/...) — the
     # key-bounded two-level fold replaces the sort-based groupby +
@@ -286,8 +284,6 @@ def role_distribution(sf_dir: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         return batch.group_by(["role"]).aggregate([("role", "count")])
-
-    from .util import fold_bounded
 
     return fold_bounded(
         ds.map_batches(partial, batch_format="pyarrow"), ["role"]

@@ -3,9 +3,11 @@
 Scale-first conventions used across ``lexor_ray.ops``:
 
 - **Prune at the read**: every reader passes ``columns=[...]``.
-- **One sized reader**: every operator read goes through
-  ``read_table``, one block per cluster CPU unless the parquet
-  footers' bytes need more blocks of ``target_max_block_size``.
+- **Sized to the cluster**: every operator read goes through
+  ``read_table``, one block per cluster CPU (``cluster_cpus``) unless
+  the parquet footers' bytes need more blocks of
+  ``target_max_block_size``; ``fold_blocks`` combines on one
+  partition per cluster CPU.
 - **Partial aggregation**: grouped aggregates combine inside
   ``map_batches`` (vectorized ``pyarrow.Table.group_by`` per batch)
   before the wide ``groupby`` — the shuffle then moves one row per
@@ -21,12 +23,12 @@ Scale-first conventions used across ``lexor_ray.ops``:
   driver collect of a keyed output goes through ``collect``.
 - **One bounded fold**: a reassociative combine over a small, fixed
   key domain (flag pairs, query ids, k clusters, one global row)
-  goes through ``fold_blocks``, the only ``repartition(1)`` in the
-  package; everything else goes through ``coarse_apply``. Keyed
-  Sum/Min/Max use ``fold_bounded`` (a ``fold_blocks`` caller) or
-  ``fold_keyed`` (a ``coarse_apply`` caller) by that same rule. Ray's
-  sort-based ``groupby().aggregate`` is not used anywhere in the
-  package.
+  goes through ``fold_blocks`` (a ``combine`` per cluster CPU, then
+  the only ``repartition(1)`` in the package); everything else goes
+  through ``coarse_apply``. Keyed Sum/Min/Max use ``fold_bounded``
+  (a ``fold_blocks`` caller) or ``fold_keyed`` (a ``coarse_apply``
+  caller) by that same rule. Ray's sort-based ``groupby().aggregate``
+  is not used anywhere in the package.
 - **Stable rounding**: float aggregates are rounded identically in
   the Ray path and the DuckDB oracle SQL so value-hash comparison is
   deterministic across summation orders.
@@ -66,6 +68,15 @@ def _footer_bytes(footers: list, columns=None) -> int:
     return total
 
 
+def cluster_cpus() -> int:
+    """CPUs of the caller's Ray session: the one sizing rule for read
+    blocks and for coalescing repartitions (``fold_blocks``,
+    ``curation_docs``)."""
+    import ray
+
+    return int(ray.cluster_resources()["CPU"])
+
+
 def read_table(path: str, columns=None):
     """Column-pruned Ray Dataset over one parquet file or directory,
     read as one block per cluster CPU, or as many blocks of at most
@@ -76,12 +87,11 @@ def read_table(path: str, columns=None):
     session."""
     import math
 
-    import ray
     import ray.data
 
     nbytes = _footer_bytes(_footers(path), columns)
     cap = ray.data.DataContext.get_current().target_max_block_size
-    n = max(int(ray.cluster_resources()["CPU"]), math.ceil(nbytes / cap))
+    n = max(cluster_cpus(), math.ceil(nbytes / cap))
     return ray.data.read_parquet(path, columns=columns, override_num_blocks=n)
 
 
@@ -330,19 +340,16 @@ def sql_source(table_or_path: str) -> str:
     return table_or_path
 
 
-_FAN_IN = 16  # level-1 partitions of every fold_blocks
-
-
 def fold_blocks(parts, combine, finish=None):
     """THE bounded fold: two levels of whole-block calls, no keyed
-    shuffle. Level 1 runs ``combine`` on each of ``_FAN_IN`` coalesced
-    partitions; level 2 runs ``finish(combine(t))`` on the single
-    ``repartition(1)`` block. Both take and return a ``pa.Table``.
+    shuffle. Level 1 runs ``combine`` on each of ``cluster_cpus()``
+    coalesced partitions; level 2 runs ``finish(combine(t))`` on the
+    single ``repartition(1)`` block. Both take and return a ``pa.Table``.
 
     ``combine`` MUST be reassociative: ``combine(concat(combine(a),
     combine(b)))`` equals ``combine(concat(a, b))`` (sums, min/max,
     set unions, top-k of top-ks). Level-2 input is at most the output
-    rows of ``combine`` × ``_FAN_IN``, so use this only when that is
+    rows of ``combine`` × cluster CPUs, so use this only when that is
     small by construction (a fixed key domain: flag pairs, query ids,
     k clusters); anything else goes through :func:`coarse_apply`.
     Ray never calls ``combine`` or ``finish`` on an empty block."""
@@ -354,7 +361,7 @@ def fold_blocks(parts, combine, finish=None):
     # batch_size=None = whole block per call: the level-2 call MUST
     # see the single repartition(1) block in one batch or it would emit
     # one partially-folded row group per batch slice (ADVICE r3)
-    lvl1 = parts.repartition(_FAN_IN).map_batches(
+    lvl1 = parts.repartition(cluster_cpus()).map_batches(
         combine, batch_format="pyarrow", batch_size=None
     )
     return lvl1.repartition(1).map_batches(

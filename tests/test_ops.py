@@ -1936,6 +1936,31 @@ def test_fold_blocks_finishes_in_one_call(ray_session):
     assert got == [{"rows": 1000}]
 
 
+def test_fold_blocks_level1_follows_cluster(ray_session):
+    """Level 1 runs ``combine`` once per cluster CPU at most, whatever
+    the input block count: each level-1 call emits one marker row,
+    level 2 passes the markers through and ``finish`` counts them."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray.data
+
+    from lexor_ray.ops.util import fold_blocks
+
+    def combine(t):
+        if "calls" in t.column_names:  # level 2: level-1 outputs
+            return t
+        return pa.table({"calls": [1], "rows": [t.num_rows]})
+
+    def finish(t):
+        return pa.table({"calls": [t.num_rows], "rows": [pc.sum(t["rows"])]})
+
+    cpus = int(ray_session.cluster_resources()["CPU"])
+    ds = ray.data.range(1000).repartition(8)
+    [got] = fold_blocks(ds, combine, finish).take_all()
+    assert got["rows"] == 1000
+    assert 1 <= got["calls"] <= cpus == 4
+
+
 def test_topk_rows_matches_heapq_and_reassociates():
     """``topk_rows`` equals the per-query ``heapq.nsmallest`` merge it
     replaced (key ``(-cosine, vec_id)``, duplicate ``vec_id`` counted
