@@ -5,13 +5,7 @@ Runs the headline pipelines over ``$GRAFT_SF_DIR`` (default
 num_cpus=$RAY_GRAFT_CPUS)`` (default 32) and prints ONE JSON line::
 
     {"metric": "...", "value": <headline sec>, "unit": "sec",
-     "queries": {...}, "sf": ..., "num_cpus": N, "turns_per_sec": ...,
-     "host": {"host.calib_s": ..., "nproc": ..., "affinity_cpus": ...,
-              "num_cpus": N, "ray": ..., "pyarrow": ..., ...}}
-
-``host`` is perfbench's host stamp (``perfbench/run.py``): the seconds
-of its fixed calibration loop, timed before Ray starts, and the CPUs
-and versions the numbers were taken with.
+     "queries": {...}, "sf": ..., "num_cpus": N, "turns_per_sec": ...}
 
 ``--scaling`` reruns the headline extraction in fresh subprocesses at
 num_cpus=8 and num_cpus=32 on the same input and reports both
@@ -32,9 +26,6 @@ import time
 def run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
     import ray
 
-    from perfbench.run import _calibrate, _host_stamp
-
-    host = {**_host_stamp(_calibrate()), "num_cpus": num_cpus}
     ray.init(
         address="local",
         num_cpus=num_cpus,
@@ -249,7 +240,6 @@ def run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
         "n_turns": n_turns,
         "turns_per_sec": round(n_turns / headline, 1) if headline else None,
         **big,
-        "host": host,
     }
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 
-from .util import cluster_cpus, coarse_apply
+from .util import coalesce, coarse_apply
 
 #: (column, arrow type) of the fused wide row, in output order.
 _WIDE = [
@@ -157,7 +157,7 @@ def curation_docs(
     # the 6-way union multiplies block count (each branch ends in its
     # own shuffle); collapse before the pivot shuffle or the final
     # groupby is task-launch-bound (CLAUDE.md union/block-count rule)
-    tagged = tagged.repartition(cluster_cpus())
+    tagged = coalesce(tagged)
 
     def pivot(g: pd.DataFrame) -> pd.DataFrame:
         # first non-null per column per doc — one C-level pass

@@ -276,7 +276,7 @@ def cms_heavy_hitters(sf_dir: str, k: int = 20, w: int = 1 << 13, cand: int = 64
                 np.add.at(cms[r], rows[r], counts)
         return pa.table(
             {
-                "cms": pa.array([cms.reshape(-1).tolist()], pa.list_(pa.int64())),
+                "cms": pa.array([cms.reshape(-1)], pa.list_(pa.int64())),
                 "cand_terms": pa.array(
                     [terms[:cand].tolist()], pa.list_(pa.string())
                 ),
@@ -287,14 +287,15 @@ def cms_heavy_hitters(sf_dir: str, k: int = 20, w: int = 1 << 13, cand: int = 64
         """Sum the CMS matrices, union the candidate lists — the driver
         collects ONE folded row, never a per-block list (at 100 TB that
         list is millions of d×w payloads)."""
-        summed = np.zeros(d * w, dtype=np.int64)
-        cands: set = set()
-        for row in t.to_pylist():
-            summed += np.asarray(row["cms"], dtype=np.int64)
-            cands.update(row["cand_terms"])
+        # summed in the blocks' own int64 buffer (one (rows, d·w) view),
+        # not as Python lists: a matrix is d·w ints, ~1.2 MB as objects
+        mats = t["cms"].combine_chunks().flatten().to_numpy()
+        cands = set(t["cand_terms"].combine_chunks().flatten().to_pylist())
         return pa.table(
             {
-                "cms": pa.array([summed.tolist()], pa.list_(pa.int64())),
+                "cms": pa.array(
+                    [mats.reshape(-1, d * w).sum(axis=0)], pa.list_(pa.int64())
+                ),
                 "cand_terms": pa.array([sorted(cands)], pa.list_(pa.string())),
             }
         )

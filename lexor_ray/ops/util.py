@@ -7,7 +7,7 @@ Scale-first conventions used across ``lexor_ray.ops``:
   ``read_table``, one block per cluster CPU (``cluster_cpus``) unless
   the parquet footers' bytes need more blocks of
   ``target_max_block_size``; ``fold_blocks`` combines on one
-  partition per cluster CPU.
+  partition per cluster CPU, at most 16 (``coalesce``).
 - **Partial aggregation**: grouped aggregates combine inside
   ``map_batches`` (vectorized ``pyarrow.Table.group_by`` per batch)
   before the wide ``groupby`` — the shuffle then moves one row per
@@ -23,9 +23,9 @@ Scale-first conventions used across ``lexor_ray.ops``:
   driver collect of a keyed output goes through ``collect``.
 - **One bounded fold**: a reassociative combine over a small, fixed
   key domain (flag pairs, query ids, k clusters, one global row)
-  goes through ``fold_blocks`` (a ``combine`` per cluster CPU, then
-  the only ``repartition(1)`` in the package); everything else goes
-  through ``coarse_apply``. Keyed Sum/Min/Max use ``fold_bounded``
+  goes through ``fold_blocks`` (a ``combine`` per ``coalesce`` block,
+  then the only ``repartition(1)`` in the package); everything else
+  goes through ``coarse_apply``. Keyed Sum/Min/Max use ``fold_bounded``
   (a ``fold_blocks`` caller) or ``fold_keyed`` (a ``coarse_apply``
   caller) by that same rule. Ray's sort-based ``groupby().aggregate``
   is not used anywhere in the package.
@@ -70,11 +70,18 @@ def _footer_bytes(footers: list, columns=None) -> int:
 
 def cluster_cpus() -> int:
     """CPUs of the caller's Ray session: the one sizing rule for read
-    blocks and for coalescing repartitions (``fold_blocks``,
-    ``curation_docs``)."""
+    blocks and, capped at 16, for coalescing repartitions."""
     import ray
 
     return int(ray.cluster_resources()["CPU"])
+
+
+def coalesce(ds):
+    """``ds`` in one block per cluster CPU, at most 16: the level-1
+    partitions of ``fold_blocks`` and the ``curation_docs`` pivot. The
+    cap keeps a fold's last task at 16 ``combine`` outputs or fewer on
+    any cluster."""
+    return ds.repartition(min(cluster_cpus(), 16))
 
 
 def read_table(path: str, columns=None):
@@ -342,16 +349,17 @@ def sql_source(table_or_path: str) -> str:
 
 def fold_blocks(parts, combine, finish=None):
     """THE bounded fold: two levels of whole-block calls, no keyed
-    shuffle. Level 1 runs ``combine`` on each of ``cluster_cpus()``
-    coalesced partitions; level 2 runs ``finish(combine(t))`` on the
-    single ``repartition(1)`` block. Both take and return a ``pa.Table``.
+    shuffle. Level 1 runs ``combine`` on each :func:`coalesce`
+    partition; level 2 runs ``finish(combine(t))`` on the single
+    ``repartition(1)`` block. Both take and return a ``pa.Table``.
 
     ``combine`` MUST be reassociative: ``combine(concat(combine(a),
     combine(b)))`` equals ``combine(concat(a, b))`` (sums, min/max,
     set unions, top-k of top-ks). Level-2 input is at most the output
-    rows of ``combine`` × cluster CPUs, so use this only when that is
-    small by construction (a fixed key domain: flag pairs, query ids,
-    k clusters); anything else goes through :func:`coarse_apply`.
+    rows of ``combine`` × min(cluster CPUs, 16), so use this only when
+    that is small by construction (a fixed key domain: flag pairs,
+    query ids, k clusters); anything else goes through
+    :func:`coarse_apply`.
     Ray never calls ``combine`` or ``finish`` on an empty block."""
 
     def last(t: pa.Table) -> pa.Table:
@@ -361,7 +369,7 @@ def fold_blocks(parts, combine, finish=None):
     # batch_size=None = whole block per call: the level-2 call MUST
     # see the single repartition(1) block in one batch or it would emit
     # one partially-folded row group per batch slice (ADVICE r3)
-    lvl1 = parts.repartition(cluster_cpus()).map_batches(
+    lvl1 = coalesce(parts).map_batches(
         combine, batch_format="pyarrow", batch_size=None
     )
     return lvl1.repartition(1).map_batches(

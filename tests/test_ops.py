@@ -1936,14 +1936,16 @@ def test_fold_blocks_finishes_in_one_call(ray_session):
     assert got == [{"rows": 1000}]
 
 
-def test_fold_blocks_level1_follows_cluster(ray_session):
-    """Level 1 runs ``combine`` once per cluster CPU at most, whatever
-    the input block count: each level-1 call emits one marker row,
-    level 2 passes the markers through and ``finish`` counts them."""
+def test_fold_blocks_level1_follows_cluster(ray_session, monkeypatch):
+    """Level 1 runs ``combine`` once per cluster CPU at most (16 at
+    most), whatever the input block count: each level-1 call emits one
+    marker row, level 2 passes the markers through and ``finish``
+    counts them."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
 
+    from lexor_ray.ops import util
     from lexor_ray.ops.util import fold_blocks
 
     def combine(t):
@@ -1959,6 +1961,14 @@ def test_fold_blocks_level1_follows_cluster(ray_session):
     [got] = fold_blocks(ds, combine, finish).take_all()
     assert got["rows"] == 1000
     assert 1 <= got["calls"] <= cpus == 4
+
+    # on a cluster of more than 16 CPUs level 1 still makes at most 16
+    # partitions, so the last task sees at most 16 combine outputs
+    monkeypatch.setattr(util, "cluster_cpus", lambda: 64)
+    ds = ray.data.range(1000).repartition(32)
+    [got] = fold_blocks(ds, combine, finish).take_all()
+    assert got["rows"] == 1000
+    assert 1 <= got["calls"] <= 16
 
 
 def test_topk_rows_matches_heapq_and_reassociates():
