@@ -12,17 +12,23 @@ an empty ``Text('')`` placeholder, skips the subtree, and relies on
 
 Rules come from a :class:`~lexor_ray.dialects.registry.Dialect`; the
 rule table is per-worker state (SURVEY.md §2.7).
+
+A caller that parsed a tree only to convert it can hand it over with
+:meth:`Converter.convert_owned`: for a copy/drop-only dialect
+(``Dialect.copy_drop_only``) the tree itself is pruned and normalized,
+with the same result as the clone, and no node is copied.
 """
 
 from __future__ import annotations
 
-from .dom import Document, Element, Node
+from .dom import Document, Element, Node, Text
 
 
 class Converter:
     def __init__(self, dialect) -> None:
         self.dialect = dialect
         self.log: list[dict] = []
+        self._in_place = dialect.copy_drop_only()
 
     def msg(self, module: str, code: str, arg=()) -> None:
         self.log.append(
@@ -58,6 +64,53 @@ class Converter:
         if done is not None:  # reference style-level convert (converter.py:215-216)
             out = done(self, out) or out
         return out
+
+    def convert_owned(self, doc: Document) -> Document:
+        """Convert a document the caller will not use again. The result
+        equals :meth:`convert`'s node for node (names, attrs, data,
+        ``span``/``spans``, ``pos`` cleared); for a copy/drop-only
+        dialect it is ``doc`` itself, pruned in place, and any other
+        dialect takes the clone walk."""
+        if not self._in_place or type(doc) is not Document:
+            return self.convert(doc)
+        self.log = []
+        rule_of = self.dialect.convert_rule
+        dc = self.dialect.drop_classes
+        doc.pos = None
+        doc.attrs, doc.attr_order = {}, []  # clone_node copies no root attrs
+        if not rule_of(doc.name).copy_children:
+            doc.remove_children()
+            return doc
+        # Kept nodes keep their children (copy_drop_only), and a node's
+        # normalize only reads its Text children, which nothing below
+        # changes — so each child list is filtered and normalized on
+        # the way down, in one pass.
+        stack = [doc]
+        while stack:
+            node = stack.pop()
+            out: list[Node] = []
+            for ch in node.child:
+                if not rule_of(ch.name).copy or (
+                    dc
+                    and isinstance(ch, Element)
+                    and "class" in ch.attrs
+                    and not dc.isdisjoint(ch.class_list())
+                ):
+                    continue
+                if isinstance(ch, Text):
+                    if ch.data == "":
+                        continue
+                    if out and isinstance(out[-1], Text):
+                        out[-1].merge(ch)
+                        continue
+                elif ch.child:
+                    stack.append(ch)
+                ch.parent = node
+                ch.index = len(out)
+                ch.pos = None
+                out.append(ch)
+            node.child = out
+        return doc
 
     def _enter(self, node: Node):
         """Descend step: drop / shallow-clone / start-hook. Returns

@@ -41,7 +41,16 @@ from .dom import Document, Node, Text
 
 class NodeParser:
     """Abstract node parser — the reference's ``NodeParser``
-    (``parser.py:16-79``)."""
+    (``parser.py:16-79``).
+
+    ``first`` (optional) names the characters at which ``make_node``
+    can match. A parser that declares it promises that at any other
+    caret character ``make_node`` returns None with no side effect
+    (caret, log and rule hits untouched), so the engine never calls it
+    there. ``None`` (the default) means "may match anywhere": the
+    parser is tried at every caret, as in the reference."""
+
+    first: str | None = None
 
     def __init__(self, parser: "Parser") -> None:
         self.parser = parser
@@ -73,12 +82,23 @@ class Parser:
         re-used it across documents via its ``_reload`` flag
         (``parser.py:159-160``)."""
         self.dialect = dialect
-        self._np: dict[str, list[NodeParser]] = {}
+        # per container name: (caret char -> the node parsers that can
+        # start there, in mapping order; the undeclared parsers, tried
+        # at every other char)
+        self._dispatch: dict[str, tuple[dict, list[NodeParser]]] = {}
         self._next_check: dict[str, re.Pattern] = {}
         self._instances: dict[type, NodeParser] = {}
         for name, (chars, np_classes) in dialect.resolved_parser_mapping().items():
             self._next_check[name] = re.compile("[%s]" % chars)
-            self._np[name] = [self._instance(c) for c in np_classes]
+            nps = [self._instance(c) for c in np_classes]
+            anywhere = [np for np in nps if np.first is None]
+            by_char = {
+                ch: [np for np in nps if np.first is None or ch in np.first]
+                for np in nps
+                if np.first is not None
+                for ch in np.first
+            }
+            self._dispatch[name] = (by_char, anywhere)
         # hit counters for lineage records (north rule): parser-rule
         # name -> number of nodes it produced. Reset externally.
         self.rule_hits: dict[str, int] = {}
@@ -168,9 +188,6 @@ class Parser:
         if post is not None:  # reference post_process (parser.py:177-178)
             post(self)
         return self.doc
-
-    def _get_np(self, node: Node) -> list[NodeParser]:
-        return self._np.get(node.name, self._np["__default__"])
 
     def _get_next_check(self, node: Node) -> int:
         checker = self._next_check.get(node.name, self._next_check["__default__"])
@@ -269,6 +286,9 @@ class Parser:
         self._in_progress = []
         close_prefix = self.dialect.close_prefix
         text = self.text
+        dispatch = self._dispatch
+        default = dispatch["__default__"]
+        by_char, anywhere = dispatch.get(crt.name, default)
         while self.caret < self.end:
             if self._in_progress and (
                 close_prefix is None or text.startswith(close_prefix, self.caret)
@@ -276,11 +296,12 @@ class Parser:
                 tmp = self._close_node()
                 if tmp is not None:
                     crt = tmp
+                    by_char, anywhere = dispatch.get(crt.name, default)
                     continue
             match = False
             node = None
             processor = None
-            for processor in self._get_np(crt):
+            for processor in by_char.get(text[self.caret], anywhere):
                 node = processor.make_node()
                 if node is not None:
                     match = True
@@ -291,6 +312,7 @@ class Parser:
                 self._process_text(crt)
             elif self._process_node(crt, node, processor) is node:
                 crt = node
+                by_char, anywhere = dispatch.get(crt.name, default)
         for node, _processor in self._in_progress:
             self.msg("lexor_ray.core.parser", "E100", node.pos, [node.name])
             node.span = (node.span[0], self.end)

@@ -60,6 +60,8 @@ class ElementParser(NodeParser):
     self-closing forms are returned *complete* (the list / childless
     forms of ``parser.py:29-57``)."""
 
+    first = "<"
+
     def make_node(self):
         p = self.parser
         text, caret = p.text, p.caret
@@ -170,6 +172,8 @@ class StrayCloseParser(NodeParser):
     match, so without this rule the '<' would leak into text one char
     at a time)."""
 
+    first = "<"
+
     _RE = re.compile(r"</([a-zA-Z][a-zA-Z0-9:_.-]*)\s*>")
 
     def make_node(self):
@@ -185,6 +189,8 @@ class StrayCloseParser(NodeParser):
 
 class CommentParser(NodeParser):
     """``<!-- ... -->``; unterminated comments run to EOF with E100."""
+
+    first = "<"
 
     def make_node(self):
         p = self.parser
@@ -207,6 +213,8 @@ class CommentParser(NodeParser):
 
 class DoctypeParser(NodeParser):
     """``<!doctype ...>`` (case-insensitive)."""
+
+    first = "<"
 
     _RE = re.compile(r"<!doctype", re.IGNORECASE)
 
@@ -232,6 +240,8 @@ class DoctypeParser(NodeParser):
 class CDataParser(NodeParser):
     """``<![CDATA[ ... ]]>``."""
 
+    first = "<"
+
     def make_node(self):
         p = self.parser
         text, caret = p.text, p.caret
@@ -256,6 +266,8 @@ class PIParser(NodeParser):
     ``'?target'`` (reference ``elements.py:58-81``). PI *execution*
     (``converter.py:394-447``) is deliberately not carried — see
     SURVEY.md §2.8; the extraction converter drops PIs."""
+
+    first = "<"
 
     _RE = re.compile(r"<\?([a-zA-Z][a-zA-Z0-9:_-]*)")
 
@@ -283,6 +295,8 @@ class EntityParser(NodeParser):
     HTML5 entity table (stdlib ``html.unescape``). ``data`` is the
     decoded text; ``span`` covers the source entity, so spans stay
     source-accurate while decode changes width (SURVEY.md §7.4.3)."""
+
+    first = "&"
 
     _RE = re.compile(r"&(?:#[0-9]{1,7};|#[xX][0-9a-fA-F]{1,6};|[a-zA-Z][a-zA-Z0-9]{1,31};)")
 

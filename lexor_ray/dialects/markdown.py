@@ -227,6 +227,6 @@ def to_markdown(text: str) -> str:
 
     d = HTML_MARKDOWN
     doc = Parser(d).parse(text)
-    out = Converter(d).convert(doc)
+    out = Converter(d).convert_owned(doc)
     md = Writer(d).write(out)
     return md.strip("\n")

@@ -17,6 +17,7 @@ worker process through the per-worker cache
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 
@@ -82,6 +83,53 @@ class Dialect:
         for key, target in aliases:
             out[key] = out[target]
         return out
+
+    def copy_drop_only(self) -> bool:
+        """True when conversion can only keep or drop nodes: no rule
+        has a ``start``/``end`` hook, every kept node keeps its
+        children, and there is no ``convert_init``/``convert_done``
+        hook. Converting such a dialect is "drop the dropped subtrees,
+        then normalize", which the flat scanner and the in-place
+        conversion of an owned tree both rely on."""
+        return (
+            all(
+                rule.start is None
+                and rule.end is None
+                and (rule.copy_children or not rule.copy)
+                for rule in self.converters.values()
+            )
+            and "convert_init" not in self.hooks
+            and "convert_done" not in self.hooks
+        )
+
+    def candidate_re(self) -> re.Pattern:
+        """The ``__default__`` next-check class compiled as a regex
+        class (NOT ``set()`` of the raw source, which would mis-read
+        escapes like ``\\n`` and ranges like ``0-9``): the characters
+        at which a node parser may start."""
+        return re.compile(
+            "[%s]" % self.resolved_parser_mapping()["__default__"][0], re.DOTALL
+        )
+
+    def plain_text_identity(self) -> bool:
+        """True when a text with no :meth:`candidate_re` character
+        converts to itself: it parses to one Text under the root, and
+        no hook or ``#document``/``#text`` rule can transform that
+        (``copy_children=False`` on ``#document`` would empty it;
+        ``start``/``end`` would rewrite it). Element rules do not
+        matter: elements cannot occur without candidate chars."""
+        t_rule = self.convert_rule("#text")
+        doc_rule = self.convert_rule("#document")
+        return (
+            not self.hooks
+            and t_rule.copy
+            and t_rule.start is None
+            and t_rule.end is None
+            and doc_rule.copy
+            and doc_rule.copy_children
+            and doc_rule.start is None
+            and doc_rule.end is None
+        )
 
     def convert_rule(self, name: str) -> ConvertRule:
         rule = self.converters.get(name)

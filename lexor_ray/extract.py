@@ -64,22 +64,13 @@ class Extractor:
         d = get_dialect(dialect)
         self.parser = Parser(d)
         self.converter = Converter(d)
-        # candidate start chars of the dialect's token grammar (the
-        # __default__ next-check class) — rows containing none of them
-        # extract to themselves. Compiled as a regex class (NOT set()
-        # of the raw source, which would mis-read escapes like '\n'
-        # and ranges like '0-9').
-        import re as _re
-
-        self._cand_re = _re.compile(
-            "[%s]" % d.resolved_parser_mapping()["__default__"][0], _re.DOTALL
-        )
-        # When every converter rule is a pure copy/drop (no start/end
-        # hooks, no copy-without-children), conversion followed by the
-        # text writer is equivalent to one walk of the parse tree that
-        # skips dropped subtrees — same output, no clone/normalize
-        # pass (~25% of per-row time). Hook-bearing dialects take the
-        # full Converter path.
+        # candidate start chars of the dialect's token grammar — rows
+        # containing none of them extract to themselves
+        self._cand_re = d.candidate_re()
+        # For a copy/drop-only dialect (``Dialect.copy_drop_only``),
+        # conversion followed by the text writer is one walk of the
+        # parse tree that skips dropped subtrees, which the flat
+        # scanner does without building the tree.
         self._drop_names = frozenset(
             name
             for name, rule in d.converters.items()
@@ -89,46 +80,21 @@ class Extractor:
         from .dialects.html import _DEFAULT_PARSERS as _STOCK_HTML
 
         self._pure = (
-            all(
-                rule.start is None
-                and rule.end is None
-                and (rule.copy_children or not rule.copy)
-                for rule in d.converters.values()
-            )
+            d.copy_drop_only()
             and (default is None or default.copy)
             # the scanner unconditionally EMITS text and entity runs,
             # so their effective rules must be copies — a '#text' or
-            # '#entity' DROP rule passes the all() above but would
+            # '#entity' DROP rule is copy/drop-only but would
             # silently diverge from the Converter path (r5 review)
             and d.convert_rule("#text").copy
             and d.convert_rule("#entity").copy
-            and not d.hooks  # lifecycle hooks force the full Converter path
+            and not d.hooks  # the scanner runs no parser or writer hooks
             # the flat scanner hardcodes the stock HTML token grammar;
             # a dialect with a customized parser_mapping must take the
             # real parse path
             and d.parser_mapping == {"__default__": _STOCK_HTML}
         )
-        # the markup-free identity shortcut is only valid when nothing
-        # can transform a pure-text document: no lifecycle hooks and a
-        # plain-copy #text rule (r4 review: the shortcut used to
-        # silently bypass hook-bearing dialects; _pure implies this,
-        # but element-rule-bearing dialects still qualify — elements
-        # cannot occur without candidate chars)
-        t_rule = d.convert_rule("#text")
-        # the '#document' rule can transform even a markup-free doc
-        # (copy_children=False empties it; start/end hooks rewrite it)
-        # — the shortcut must respect it like _pure does (r5 review)
-        doc_rule = d.convert_rule("#document")
-        self._identity_ok = (
-            not d.hooks
-            and t_rule.copy
-            and t_rule.start is None
-            and t_rule.end is None
-            and doc_rule.copy
-            and doc_rule.copy_children
-            and doc_rule.start is None
-            and doc_rule.end is None
-        )
+        self._identity_ok = d.plain_text_identity()
 
     def extract_one(self, text: str, uri: str | None = None) -> dict:
         if self._identity_ok and self._cand_re.search(text) is None:
@@ -152,7 +118,7 @@ class Extractor:
             return {"extracted_text": extracted, "spans": spans, "log": log}
         doc = self.parser.parse(text, uri)
         plog = self.parser.log
-        out = self.converter.convert(doc)
+        out = self.converter.convert_owned(doc)
         # parser log precedes converter log (lexor/__init__.py:94-95)
         log = plog + self.converter.log
         extracted, spans = TextSpanWriter.write(out)

@@ -24,6 +24,10 @@ against it in ``tests/test_fast_scan.py``):
   ever contribute extracted text);
 - span coalescing: adjacent plain-text runs merge when contiguous;
   entity spans always stand alone.
+
+The hot loop makes one regex match per token (``_TOKEN``): the text
+run, then an entity, close tag or attribute-less open tag. Any other
+token goes through the per-character chain at its ``<``/``&``.
 """
 
 from __future__ import annotations
@@ -39,33 +43,33 @@ from .dialects.html import (
     _TAG_OPEN,
     _UNQUOTED,
     _WS,
+    DoctypeParser,
+    EntityParser,
+    PIParser,
+    StrayCloseParser,
     _close_re,
 )
 
-_CAND = re.compile(r"[<&]")
-_CLOSE = re.compile(r"</([a-zA-Z][a-zA-Z0-9:_.-]*)\s*>")
-_PI = re.compile(r"<\?([a-zA-Z][a-zA-Z0-9:_-]*)")
-_DOCTYPE = re.compile(r"<!doctype", re.IGNORECASE)
-_ENT = re.compile(r"&(?:#[0-9]{1,7};|#[xX][0-9a-fA-F]{1,6};|[a-zA-Z][a-zA-Z0-9]{1,31};)")
+_PI = PIParser._RE
+_DOCTYPE = DoctypeParser._RE
+
+#: one token per match, in the dialect's own grammar: the text run up
+#: to the next '<'/'&' (group 1), then an entity (2), a close tag's
+#: name (3) or an attribute-less open tag's name (4). These three forms
+#: are 93% of the tokens of the generated transcripts; at any other
+#: candidate the match ends at its '<'/'&'.
+_TOKEN = re.compile(
+    "([^<&]*)(?:(%s)|%s|%s>)?"
+    % (EntityParser._RE.pattern, StrayCloseParser._RE.pattern, _TAG_OPEN.pattern)
+)
 
 _ENGINE = "lexor_ray.core.parser"
-
-
-#: attribute-less open tag `<name>` — the dominant case in real
-#: markup; same name charset as _TAG_OPEN with an immediate '>'
-_SIMPLE_TAG = re.compile(r"<([a-zA-Z][a-zA-Z0-9:_.-]*)>")
 
 
 def _scan_tag(text: str, c: int, end: int):
     """Shared open-tag scanner — the exact attribute grammar of
     ``ElementParser.make_node`` (``dialects/html.py``). Returns
     (name, class_attr, i, self_closing, terminated) or None."""
-    sm = _SIMPLE_TAG.match(text, c)
-    if sm is not None:
-        # equivalent to the full scan: name chars identical to
-        # _TAG_OPEN, '>' immediately after → no attributes, not
-        # self-closing, terminated (byte-identity fuzz-tested)
-        return sm.group(1).lower(), None, sm.end(), False, True
     m = _TAG_OPEN.match(text, c)
     if m is None:
         return None
@@ -140,63 +144,39 @@ def scan_extract(
     stack: list[tuple[str, bool, int]] = []
     drop_depth = 0
     hits = rule_hits if rule_hits is not None else {}
-
-    def hit(rule: str) -> None:
-        hits[rule] = hits.get(rule, 0) + 1
-
-    def emit_text(s: int, e: int) -> None:
-        nonlocal last_text
-        if drop_depth:
-            return
-        parts.append(text[s:e])
-        if last_text and spans and spans[-1][1] == s:
-            spans[-1] = (spans[-1][0], e)
-        else:
-            spans.append((s, e))
-        last_text = True
+    n_element = n_entity = 0  # hot-loop rule hits, added to hits at the end
+    token = _TOKEN.match
 
     pos = 0
     while pos < end:
-        m = _CAND.search(text, pos)
-        if m is None:
-            emit_text(pos, end)
-            break
-        c = m.start()
-        if c > pos:
-            emit_text(pos, c)
-        ch = text[c]
-        if ch == "&":
-            em = _ENT.match(text, c)
-            if em is None:
-                emit_text(c, c + 1)
-                pos = c + 1
-                continue
-            hit("EntityParser")
+        m = token(text, pos)
+        c = m.end(1)
+        if c > pos and not drop_depth:
+            parts.append(m.group(1))
+            if last_text and spans[-1][1] == pos:
+                spans[-1] = (spans[-1][0], c)
+            else:
+                spans.append((pos, c))
+            last_text = True
+        kind = m.lastindex
+        if kind == 2:  # entity
+            n_entity += 1
             if not drop_depth:
-                parts.append(_htmlmod.unescape(em.group(0)))
-                spans.append((c, em.end()))
+                parts.append(_htmlmod.unescape(m.group(2)))
+                spans.append((c, m.end()))
                 last_text = False
-            pos = em.end()
+            pos = m.end()
             continue
-        # ch == '<'
-        nxt = text[c + 1] if c + 1 < end else ""
-        if nxt == "/":
-            cm = _CLOSE.match(text, c)
-            if cm is None:
-                emit_text(c, c + 1)
-                pos = c + 1
-                continue
-            name = cm.group(1).lower()
+        if kind == 3:  # close tag
+            name = m.group(3).lower()
+            pos = m.end()
             # find matching open tag, innermost-out (parser.py:357-383)
-            idx = None
-            for si in range(len(stack) - 1, -1, -1):
-                if stack[si][0] == name:
-                    idx = si
-                    break
-            if idx is None:
-                hit("StrayCloseParser")
+            idx = len(stack) - 1
+            while idx >= 0 and stack[idx][0] != name:
+                idx -= 1
+            if idx < 0:
+                hits["StrayCloseParser"] = hits.get("StrayCloseParser", 0) + 1
                 rawlog.append(("StrayCloseParser", "W101", c, [name]))
-                pos = cm.end()
                 continue
             # W100 cascade for inner unclosed tags, innermost-first
             for si in range(len(stack) - 1, idx, -1):
@@ -208,67 +188,55 @@ def scan_extract(
                 drop_depth -= 1
             del stack[idx:]
             last_text = False
-            pos = cm.end()
             continue
-        if nxt == "!":
-            if text.startswith("<!--", c):
-                hit("CommentParser")
-                k = text.find("-->", c + 4)
+        if kind == 4:  # attribute-less open tag
+            name, class_attr, i = m.group(4).lower(), None, m.end()
+            self_closing, terminated = False, True
+        else:
+            if c >= end:
+                break
+            # any other token at the candidate c: the per-char chain
+            head = text[c : c + 2]
+            rule = tag = None
+            if head == "<!":
+                if text.startswith("<!--", c):
+                    rule, close, skip, arg = "CommentParser", "-->", 4, "#comment"
+                elif text.startswith("<![CDATA[", c):
+                    rule, close, skip, arg = "CDataParser", "]]>", 9, "#cdata-section"
+                elif _DOCTYPE.match(text, c):
+                    rule, close, skip, arg = "DoctypeParser", ">", 9, "#doctype"
+            elif head == "<?":
+                pm = _PI.match(text, c)
+                if pm is not None:
+                    rule, close, skip, arg = "PIParser", "?>", pm.end() - c, "?" + pm.group(1)
+            elif head != "</" and head[0] == "<":
+                tag = _scan_tag(text, c, end)
+            if rule is not None:
+                hits[rule] = hits.get(rule, 0) + 1
+                k = text.find(close, c + skip)
                 if k == -1:
-                    rawlog.append(("CommentParser", "E100", c, ["#comment"]))
+                    rawlog.append((rule, "E100", c, [arg]))
                     pos = end
                 else:
-                    pos = k + 3
+                    pos = k + len(close)
                 last_text = False
                 continue
-            if text.startswith("<![CDATA[", c):
-                hit("CDataParser")
-                k = text.find("]]>", c + 9)
-                if k == -1:
-                    rawlog.append(("CDataParser", "E100", c, ["#cdata-section"]))
-                    pos = end
-                else:
-                    pos = k + 3
-                last_text = False
-                continue
-            dm = _DOCTYPE.match(text, c)
-            if dm is not None:
-                hit("DoctypeParser")
-                k = text.find(">", dm.end())
-                if k == -1:
-                    rawlog.append(("DoctypeParser", "E100", c, ["#doctype"]))
-                    pos = end
-                else:
-                    pos = k + 1
-                last_text = False
-                continue
-            emit_text(c, c + 1)
-            pos = c + 1
-            continue
-        if nxt == "?":
-            pm = _PI.match(text, c)
-            if pm is None:
-                emit_text(c, c + 1)
+            if tag is None:
+                # a literal '<' or '&' (no token starts here): one char
+                # of text, coalesced with the run before it
+                if not drop_depth:
+                    parts.append(head[0])
+                    if last_text and spans[-1][1] == c:
+                        spans[-1] = (spans[-1][0], c + 1)
+                    else:
+                        spans.append((c, c + 1))
+                    last_text = True
                 pos = c + 1
                 continue
-            hit("PIParser")
-            k = text.find("?>", pm.end())
-            if k == -1:
-                rawlog.append(("PIParser", "E100", c, ["?" + pm.group(1)]))
-                pos = end
-            else:
-                pos = k + 2
-            last_text = False
-            continue
-        tag = _scan_tag(text, c, end)
-        if tag is None:
-            emit_text(c, c + 1)
-            pos = c + 1
-            continue
-        hit("ElementParser")
-        name, class_attr, i, self_closing, terminated = tag
-        if not terminated:
-            rawlog.append(("ElementParser", "E200", c, [name]))
+            name, class_attr, i, self_closing, terminated = tag
+            if not terminated:
+                rawlog.append(("ElementParser", "E200", c, [name]))
+        n_element += 1
         if name in VOID_ELEMENTS:
             pos = i
             last_text = False
@@ -296,6 +264,10 @@ def scan_extract(
             drop_depth += 1
         last_text = False
         pos = i
+    if n_element:
+        hits["ElementParser"] = hits.get("ElementParser", 0) + n_element
+    if n_entity:
+        hits["EntityParser"] = hits.get("EntityParser", 0) + n_entity
     # EOF sweep: open tags log E100 outermost-first (parser.py:408-410)
     for name, _dropped, off in stack:
         rawlog.append((_ENGINE, "E100", off, [name]))

@@ -138,23 +138,37 @@ def extraction_log_summary(sf_dir: str):
 class MarkdownBatch:
     """Stateless-task stage for the html→markdown style (NodeWriter
     machinery end-to-end over the transcripts table), built once per
-    worker by the per-worker cache (``ops/util.cached``)."""
+    worker by the per-worker cache (``ops/util.cached``). ``parser``,
+    ``converter`` and ``writer`` are its three passes."""
 
     def __init__(self) -> None:
         from ..core.converter import Converter
         from ..core.parser import Parser
         from ..core.writer import Writer
-        from ..dialects.markdown import HTML_MARKDOWN
+        from ..dialects.markdown import HTML_MARKDOWN as d
 
-        self.parser = Parser(HTML_MARKDOWN)
-        self.converter = Converter(HTML_MARKDOWN)
-        self.writer = Writer(HTML_MARKDOWN)
+        self.parser = Parser(d)
+        self.converter = Converter(d)
+        self.writer = Writer(d)
+        # a row with no candidate char parses to one Text, which the
+        # dialect keeps as it is and the passthrough writers emit
+        # verbatim (Dialect.plain_text_identity)
+        plain = (
+            d.plain_text_identity()
+            and "#document" not in d.writers
+            and "#text" not in d.writers
+        )
+        self._cand_re = d.candidate_re() if plain else None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         md = []
+        cand = self._cand_re
         for text in batch.column("text").to_pylist():
-            doc = self.parser.parse(text or "")
-            out = self.converter.convert(doc)
+            text = text or ""
+            if cand is not None and cand.search(text) is None:
+                md.append(text.strip("\n"))
+                continue
+            out = self.converter.convert_owned(self.parser.parse(text))
             md.append(self.writer.write(out).strip("\n"))
         return pa.table(
             {
@@ -210,9 +224,9 @@ def validate_extraction(sf_dir: str):
                 prev_end = a  # starts must be non-decreasing
                 piece = text[a:b]
                 if piece.startswith("&"):
-                    from ..fast_scan import _ENT
+                    from ..dialects.html import EntityParser
 
-                    if _ENT.fullmatch(piece):
+                    if EntityParser._RE.fullmatch(piece):
                         piece = _html.unescape(piece)
                 pieces.append(piece)
             if not ok or "".join(pieces) != ext:

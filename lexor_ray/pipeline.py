@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -126,12 +127,9 @@ class ExtractBatch:
         extractor = self.extractor
         parser = extractor.parser
         out_texts: list[str] = []
-        flat_start: list[int] = []
-        flat_end: list[int] = []
-        span_offsets = np.empty(n + 1, dtype=np.int32)
-        span_offsets[0] = 0
+        all_spans: list[tuple[int, int]] = []
+        span_offsets = [0]
         logs: list[list[dict]] = []
-        span_crc = np.zeros(n, dtype=np.int64)
         hit_vecs = np.zeros((n, len(self.RULE_NAMES)), dtype=np.int32)
         rule_index = self._rule_index
         for i, text in enumerate(texts):
@@ -140,21 +138,29 @@ class ExtractBatch:
             parser.rule_hits = {}
             res = extractor.extract_one(text)
             out_texts.append(res["extracted_text"])
-            spans = res["spans"]
-            for s, e in spans:
-                flat_start.append(s)
-                flat_end.append(e)
-            span_offsets[i + 1] = len(flat_start)
+            all_spans.extend(res["spans"])
+            span_offsets.append(len(all_spans))
             logs.append(res["log"])
             if self.emit_lineage:
-                span_crc[i] = zlib.crc32(
-                    np.asarray(spans, dtype=np.int64).tobytes()
-                    + res["extracted_text"].encode("utf-8", "surrogatepass")
-                )
                 for rname, cnt in parser.rule_hits.items():
                     idx = rule_index.get(rname)
                     if idx is not None:
                         hit_vecs[i, idx] = cnt
+        # (n_spans, 2) int64: row i's spans are rows span_offsets[i:i+2]
+        flat = np.fromiter(
+            itertools.chain.from_iterable(all_spans), dtype=np.int64, count=2 * len(all_spans)
+        ).reshape(-1, 2)
+        if self.emit_lineage:
+            # crc32(span bytes + text utf-8), continued from the span
+            # bytes' crc instead of concatenating
+            span_bytes = memoryview(flat.tobytes())
+            span_crc = [
+                zlib.crc32(
+                    t.encode("utf-8", "surrogatepass"),
+                    zlib.crc32(span_bytes[16 * a : 16 * b]),
+                )
+                for t, a, b in zip(out_texts, span_offsets, span_offsets[1:])
+            ]
         if not self.carry_source:
             # production shape: the source text already lives in the
             # input table and spans index into it — re-emitting it
@@ -164,8 +170,7 @@ class ExtractBatch:
                 [c for c in batch.column_names if c != "text"]
             )
         struct = pa.StructArray.from_arrays(
-            [pa.array(flat_start, type=pa.int64()), pa.array(flat_end, type=pa.int64())],
-            ["start", "end"],
+            [pa.array(flat[:, 0]), pa.array(flat[:, 1])], ["start", "end"]
         )
         spans_arr = pa.ListArray.from_arrays(pa.array(span_offsets, type=pa.int32()), struct)
         out = batch.append_column("extracted_text", pa.array(out_texts, type=pa.string()))
@@ -173,7 +178,7 @@ class ExtractBatch:
         if self.emit_log:
             out = out.append_column("log", pa.array(logs, type=LOG_TYPE))
         if self.emit_lineage:
-            out = out.append_column("span_crc", pa.array(span_crc))
+            out = out.append_column("span_crc", pa.array(span_crc, type=pa.int64()))
             out = out.append_column(
                 "rule_hits", pa.FixedSizeListArray.from_arrays(
                     pa.array(hit_vecs.reshape(-1), type=pa.int32()), len(self.RULE_NAMES)
