@@ -192,7 +192,8 @@ class Writer:
         if pre is not None:
             pre(self, root)
         # document order in one loop: an entered element stays on
-        # ``open_`` with its NodeWriter until its ``end``
+        # ``open_`` as [node, its NodeWriter, the index of the child
+        # being walked] until its ``end``
         table, fallback = self._nw, self._nw["__default__"]
         open_: list = []
         node = root
@@ -205,15 +206,19 @@ class Writer:
             elif not node.child:
                 nw.end(node)
             elif nw.child(node) is not None:
-                open_.append((node, nw))
+                open_.append([node, nw, 0])
                 node = node.child[0]
                 continue
-            while open_ and node.next is None:
-                node, nw = open_.pop()
-                nw.end(node)
-            if not open_:
+            while open_:
+                top = open_[-1]
+                top[2] += 1
+                if top[2] < len(top[0].child):
+                    node = top[0].child[top[2]]
+                    break
+                open_.pop()
+                top[1].end(top[0])
+            else:
                 break
-            node = node.next
         self.flush_buffer()
         if post is not None:
             post(self, root)

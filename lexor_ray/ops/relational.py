@@ -18,16 +18,16 @@ from .util import fold_bounded, read_table, tbl
 
 # ---------------------------------------------------------------------------
 
-#: global per-key row count above which the per-user operators salt
+#: global per-key row count above which ``events_asof_join`` salts
 #: the key with a time slice (a single pathological user — a bot
 #: emitting billions of events — would otherwise land whole in one
-#: coarse_apply task; r3 verdict item 3). Sized so one flagged key's
-#: slice still vectorizes comfortably in one task at web scale.
+#: coarse_apply task). Sized so one flagged key's slice still
+#: vectorizes comfortably in one task at web scale.
 HEAVY_KEY_THRESHOLD = 5_000_000
 
 #: time-slice width for flagged heavy keys (one day): a flagged key's
-#: rows land in per-slice tasks instead of one task; the tiny second
-#: pass merges per-slice partials back into exact per-key results.
+#: rows land in per-slice tasks instead of one task; two tiny summary
+#: passes resolve the per-slice misses back into exact per-key results.
 HEAVY_SLICE_S = 86_400
 
 
@@ -484,65 +484,41 @@ def events_windows(sf_dir: str):
     )
 
 
-def top_events_per_user(
-    sf_dir: str,
-    k: int = 3,
-    heavy_threshold: int = HEAVY_KEY_THRESHOLD,
-    slice_width_s: int = HEAVY_SLICE_S,
-):
-    """Per-group top-k (window-function shape): the k most recent
-    events per user — coarse hash-bucket shuffle + ONE vectorized
-    pandas pass per bucket (sort + groupby cumcount; no per-user
-    Python call at all — ``coarse_apply``; BENCH/BASELINE.md measured
-    per-group dispatch binding both map_groups AND a per-fine-group
-    Python call inside coarse buckets at high user cardinality).
+def user_topk(df: pd.DataFrame, k: int) -> pd.DataFrame:
+    """Each user's ``k`` most recent rows of ``df`` (user_id, event_id,
+    ts_us), ordered by (user_id, ts_us desc, event_id) and ranked from
+    1. Mergeable: the top-k of per-block top-ks is the top-k of the
+    whole, so it is both the per-block partial and the merge."""
+    df = df.sort_values(
+        ["user_id", "ts_us", "event_id"],
+        ascending=[True, False, True],
+        kind="mergesort",
+    )
+    rank = df.groupby("user_id", sort=False).cumcount() + 1
+    return df.assign(rank=rank)[rank <= k]
 
-    Heavy-key guard (r3 verdict item 3): flagged users compute a
-    per-time-slice local top-k first (top-k is trivially mergeable: a
-    user's global top-k is contained in the union of its per-slice
-    top-ks), then one tiny keyed pass re-ranks the ≤ k·n_slices
-    candidates. With no heavy keys the single-pass path runs
-    unchanged."""
+
+def top_events_per_user(sf_dir: str, k: int = 3):
+    """Per-group top-k (window-function shape): the k most recent
+    events per user, ties broken by the smaller ``event_id``. Each read
+    block emits its own top-k per user (``user_topk``), then ONE
+    ``coarse_apply`` on ``user_id`` re-ranks those candidates with the
+    same vectorized pass (sort + groupby cumcount; no per-user Python
+    call). A hot user reaches the shuffle as at most k × read blocks
+    rows, however many events it has."""
     from .util import coarse_apply
 
     ds = tbl(sf_dir, "events", columns=["user_id", "event_id", "ts"])
-    heavy = _events_heavy_keys(sf_dir, heavy_threshold)
-
     schema = pa.schema(
         [(c, pa.int64()) for c in ("user_id", "event_id", "ts_us", "rank")]
     )
 
-    def topk(bucket: pd.DataFrame, by: list[str], ts_col: str) -> pd.DataFrame:
-        df = bucket.sort_values(
-            [*by, ts_col, "event_id"],
-            ascending=[True] * len(by) + [False, True],
-            kind="mergesort",
-        )
-        rank = df.groupby(by, sort=False).cumcount() + 1
-        df = df.assign(rank=rank)[rank <= k]
-        ts_us = df[ts_col]
-        if ts_col == "ts":
-            ts_us = ts_us.astype("datetime64[us]").astype("int64")
-        return df.assign(ts_us=ts_us)
+    def partial(batch: pd.DataFrame) -> pd.DataFrame:
+        ts_us = batch.pop("ts").astype("datetime64[us]").astype("int64")
+        return user_topk(batch.assign(ts_us=ts_us), k)
 
-    if heavy.empty:
-        return coarse_apply(
-            ds, ["user_id"], lambda b: topk(b, ["user_id"], "ts"), schema
-        )
-
-    sliced = _with_heavy_slice(
-        ds, heavy["user_id"].to_numpy(np.int64), slice_width_s, "topk-heavy"
-    )
-    cand = coarse_apply(
-        sliced,
-        ["user_id", "__slice"],
-        lambda b: topk(b, ["user_id", "__slice"], "ts"),
-        schema,
-    )
-    # re-rank the per-slice candidates: ≤ k rows per (user, slice)
-    return coarse_apply(
-        cand, ["user_id"], lambda b: topk(b, ["user_id"], "ts_us"), schema
-    )
+    parts = ds.map_batches(partial, batch_format="pandas")
+    return coarse_apply(parts, ["user_id"], lambda b: user_topk(b, k), schema)
 
 
 def customers_without_orders(sf_dir: str, since: str = "2001-01-01"):
@@ -685,98 +661,66 @@ def conversation_documents(sf_dir: str):
     return coarse_apply(ds, ["conv_id"], assemble, schema)
 
 
-def events_sessionize(
-    sf_dir: str,
-    gap_s: int = 600,
-    heavy_threshold: int = HEAVY_KEY_THRESHOLD,
-    slice_width_s: int = HEAVY_SLICE_S,
-):
-    """Sessionization: per-user ordered gap analysis — coarse
-    hash-bucket shuffle on user_id, then ONE vectorized pandas pass
-    per bucket (``coarse_apply``): sort by (user, ts), session breaks
-    where the user changes or the gap exceeds ``gap_s``, cumsum →
-    session ids, single C-level groupby for the roll-up. No per-user
-    Python call (measured: per-group dispatch dominates at high user
-    cardinality even inside coarse buckets). Returns one row per
-    session.
+def merge_sessions(df: pd.DataFrame, gap_s: int) -> pd.DataFrame:
+    """Merge session rows (user_id, session_start, session_end,
+    n_events; microseconds) of any users into whole sessions.
+    Sorted by (user_id, session_start), a row opens a new session only
+    where the user changes or its start lies more than ``gap_s`` past
+    the running max of that user's earlier ends. Partials of different
+    blocks can nest (one block's session inside another's), so the
+    rule takes the running max, not the previous row's end."""
+    df = df.sort_values(["user_id", "session_start"], kind="mergesort")
+    user = df["user_id"].to_numpy()
+    start = df["session_start"].to_numpy()
+    reach = df["session_end"].groupby(user, sort=False).cummax().to_numpy()
+    brk = np.ones(len(df), dtype=bool)
+    brk[1:] = (user[1:] != user[:-1]) | (
+        start[1:] - reach[:-1] > gap_s * 1_000_000
+    )
+    g = df.groupby(brk.cumsum(), sort=False)
+    return pd.DataFrame(
+        {
+            "user_id": g["user_id"].first(),
+            "session_start": g["session_start"].min(),
+            "session_end": g["session_end"].max(),
+            "n_events": g["n_events"].sum(),
+        }
+    )
 
-    Heavy-key guard (r3 verdict item 3): a cheap distributed pre-count
-    (``util.heavy_keys``) flags users with ≥ ``heavy_threshold`` rows;
-    when any exist, their rows are salted by ``ts // slice_width_s``
-    so no task sees more than one slice of a hot user, and a tiny
-    second keyed pass over SESSION rows (≪ event rows) merges
-    slice-boundary sessions — merging is exact because sessionization
-    over time-partitioned slices composes: within-slice sessions are
-    separated by > gap by construction, so only the boundary pairs can
-    merge, and the merge rule is the same gap rule applied to session
-    intervals. With no heavy keys (every driver sf) the single-pass
-    path runs unchanged."""
+
+def session_partials(batch: pd.DataFrame, gap_s: int) -> pd.DataFrame:
+    """One block's sessions over its own events (user_id, ts): each
+    event is a one-event session in exact integer microseconds, merged
+    by :func:`merge_sessions`."""
+    ts_us = batch["ts"].astype("datetime64[us]").astype("int64")
+    events = pd.DataFrame(
+        {"user_id": batch["user_id"], "session_start": ts_us,
+         "session_end": ts_us, "n_events": 1}
+    )
+    return merge_sessions(events, gap_s)
+
+
+def events_sessionize(sf_dir: str, gap_s: int = 600):
+    """Sessionization: per-user ordered gap analysis, one row per
+    session; a session breaks where the gap to the user's previous
+    event exceeds ``gap_s``. Each read block sessionizes its own rows
+    (``session_partials``), then ONE ``coarse_apply`` on ``user_id``
+    merges the partials (``merge_sessions``). Both are one vectorized
+    pandas pass (sort, break mask, cumsum, one C-level groupby; no
+    per-user Python call). A hot user reaches the shuffle as session
+    partials, not events: when its events are stored in time order,
+    at most (its sessions + 1) × read blocks rows."""
     from .util import coarse_apply
 
     ds = tbl(sf_dir, "events", columns=["user_id", "ts"])
-    heavy = _events_heavy_keys(sf_dir, heavy_threshold)
-
     cols = ("user_id", "session_start", "session_end", "n_events")
     schema = pa.schema([(c, pa.int64()) for c in cols])
-
-    def sessions(bucket: pd.DataFrame, by: list[str]) -> pd.DataFrame:
-        df = bucket.sort_values([*by, "ts"], kind="mergesort")
-        gaps = df["ts"].diff().dt.total_seconds()
-        brk = (gaps > gap_s) | df[by[0]].ne(df[by[0]].shift())
-        for b in by[1:]:
-            brk |= df[b].ne(df[b].shift())
-        sid = brk.cumsum()
-        g = df.groupby(sid, sort=False)
-        return pd.DataFrame(
-            {
-                "user_id": g["user_id"].first(),
-                # exact integer microseconds: immune to timestamp-unit
-                # normalization differences between engines
-                "session_start": g["ts"].min().astype("datetime64[us]").astype("int64"),
-                "session_end": g["ts"].max().astype("datetime64[us]").astype("int64"),
-                "n_events": g.size(),
-            }
-        )
-
-    if heavy.empty:
-        return coarse_apply(
-            ds, ["user_id"], lambda b: sessions(b, ["user_id"]), schema
-        )
-
-    sliced = _with_heavy_slice(
-        ds, heavy["user_id"].to_numpy(np.int64), slice_width_s,
-        "sessionize-heavy",
+    parts = ds.map_batches(
+        lambda b: session_partials(b, gap_s), batch_format="pandas"
     )
-    partials = coarse_apply(
-        sliced,
-        ["user_id", "__slice"],
-        lambda b: sessions(b, ["user_id", "__slice"]),
-        schema,
+    return coarse_apply(
+        parts, ["user_id"], lambda b: merge_sessions(b, gap_s), schema
     )
-
-    def merge_sessions(bucket: pd.DataFrame) -> pd.DataFrame:
-        df = bucket.sort_values(
-            ["user_id", "session_start", "session_end"], kind="mergesort"
-        )
-        brk = df["user_id"].ne(df["user_id"].shift()) | (
-            df["session_start"] - df["session_end"].shift()
-            > gap_s * 1_000_000
-        )
-        sid = brk.cumsum()
-        g = df.groupby(sid, sort=False)
-        return pd.DataFrame(
-            {
-                "user_id": g["user_id"].first(),
-                "session_start": g["session_start"].min(),
-                "session_end": g["session_end"].max(),
-                "n_events": g["n_events"].sum(),
-            }
-        )
-
-    # second pass over SESSION rows: idempotent for light users (their
-    # sessions are already gap-separated), merges boundary sessions of
-    # sliced heavy users; per-task rows are session counts, not events
-    return coarse_apply(partials, ["user_id"], merge_sessions, schema)
 
 
 def events_asof_join(
@@ -791,15 +735,19 @@ def events_asof_join(
     (``coarse_apply``: merge_asof's ``by`` handles every user in the
     bucket in a single vectorized C pass).
 
-    Heavy-key guard (r3 verdict item 3): users flagged by the cheap
-    pre-count are salted by ``ts // slice_width_s`` so no task holds
-    more than one slice of a hot user. Cross-slice resolution is
-    exact: a click unmatched within its slice has NO same-slice
-    purchase at-or-before it, so its answer is the LAST purchase of
-    the nearest earlier slice that has one — recovered by two tiny
-    keyed passes over per-slice summary rows (one row per (user,
-    slice)), never over the raw events. With no heavy keys (every
-    driver sf) the single-pass path runs unchanged."""
+    Heavy-key guard: users flagged by the cheap pre-count
+    (``_events_heavy_keys``) are salted by ``ts // slice_width_s`` so
+    no task holds more than one slice of a hot user. This is the one
+    per-user operator that keeps the guard: it emits one row per
+    click, so no per-block fold can shrink a hot user's rows before
+    the shuffle, as it does for ``events_sessionize`` and
+    ``top_events_per_user``. Cross-slice resolution is exact: a click
+    unmatched within its slice has NO same-slice purchase at-or-before
+    it, so its answer is the LAST purchase of the nearest earlier
+    slice that has one — recovered by two tiny keyed passes over
+    per-slice summary rows (one row per (user, slice)), never over the
+    raw events. With no heavy keys (every driver sf) the single-pass
+    path runs unchanged."""
     from .util import coarse_apply
 
     ds = tbl(

@@ -1,10 +1,16 @@
-"""Heavy-key guard for the per-user coarse_apply operators (r3
-verdict item 3): a planted bot owning ~50% of all events must be
-flagged by the distributed pre-count, processed in bounded
-time-sliced tasks, and the two-pass results must equal the single-pass
-(unguarded) operators row-for-row.
+"""Heavy users. The as-of join keeps a pre-count guard: a planted
+bot owning ~50% of all events must be flagged by the distributed
+pre-count, processed in bounded time-sliced tasks, and the two-pass
+result must equal the single-pass (unguarded) one row-for-row.
+Sessionize and per-user top-k have one path, a per-block fold before
+the keyed shuffle: on the same bots they must equal their DuckDB
+oracles, and the bot must reach the shuffle as a few rows per block.
 """
 
+import pathlib
+import sys
+
+import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -14,9 +20,12 @@ import pytest
 from lexor_ray.ops.relational import (
     events_asof_join,
     events_sessionize,
+    session_partials,
     top_events_per_user,
 )
 from lexor_ray.ops.util import heavy_keys, tbl
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 BOT = 9_999
 SLICE_S = 3_600  # 1-hour slices for the test
@@ -106,23 +115,48 @@ def _sorted(df, cols):
     return df.sort_values(cols, ignore_index=True)
 
 
-def test_sessionize_guarded_equals_unguarded(ray_session, bot_events):
-    guarded = events_sessionize(
-        bot_events, heavy_threshold=THRESH, slice_width_s=SLICE_S
-    ).to_pandas()
-    plain = events_sessionize(
-        bot_events, heavy_threshold=10**9
-    ).to_pandas()
-    cols = ["user_id", "session_start"]
-    pd.testing.assert_frame_equal(
-        _sorted(guarded, cols), _sorted(plain, cols), check_dtype=False
+@pytest.fixture(scope="module")
+def oracle_sql():
+    import __ray_entry__
+
+    return __ray_entry__.oracle_sql()
+
+
+def _oracle(sql: dict, name: str, sf_dir: str) -> pd.DataFrame:
+    con = duckdb.connect()
+    con.execute(
+        f"CREATE VIEW events AS SELECT * FROM read_parquet('{sf_dir}/events.parquet')"
     )
-    # the bot's sessions genuinely straddled slices: its longest
-    # session covers many hours, so the merge pass did real work
-    bot = guarded[guarded["user_id"] == BOT]
+    return con.sql(sql[name]).df()
+
+
+def _assert_oracle(got: pd.DataFrame, want: pd.DataFrame, cols: list[str]):
+    pd.testing.assert_frame_equal(
+        _sorted(got, cols), _sorted(want[got.columns], cols), check_dtype=False
+    )
+
+
+def test_sessionize_bot_matches_oracle(ray_session, bot_events, oracle_sql):
+    got = events_sessionize(bot_events).to_pandas()
+    _assert_oracle(
+        got,
+        _oracle(oracle_sql, "events_sessionize", bot_events),
+        ["user_id", "session_start"],
+    )
+    # the bot's sessions span many hours of events
+    bot = got[got["user_id"] == BOT]
     assert len(bot) >= 2  # the planted idle gaps broke sessions
     dur_h = (bot["session_end"] - bot["session_start"]).max() / 3.6e9
     assert dur_h > 5
+    # ...yet it reaches the shuffle as a few session partials per read
+    # block (its events are stored in time order), not 5018 events
+    blocks = tbl(bot_events, "events", columns=["user_id", "ts"]).materialize()
+    parts = blocks.map_batches(
+        lambda b: session_partials(b, 600), batch_format="pandas"
+    ).to_pandas()
+    assert blocks.num_blocks() >= 2
+    n_bot = int((parts["user_id"] == BOT).sum())
+    assert n_bot <= (len(bot) + 1) * blocks.num_blocks()
 
 
 def test_asof_guarded_equals_unguarded(ray_session, bot_events):
@@ -192,7 +226,9 @@ def pre_epoch_bot(tmp_path_factory):
     return str(d)
 
 
-def test_pre_epoch_heavy_user_asof_and_sessions(ray_session, pre_epoch_bot):
+def test_pre_epoch_heavy_user_asof_and_sessions(
+    ray_session, pre_epoch_bot, oracle_sql
+):
     g_asof = events_asof_join(
         pre_epoch_bot, heavy_threshold=THRESH, slice_width_s=SLICE_S
     ).to_pandas()
@@ -204,24 +240,22 @@ def test_pre_epoch_heavy_user_asof_and_sessions(ray_session, pre_epoch_bot):
     # the pre-epoch purchase value really is carried to post-epoch clicks
     bot_last = _sorted(g_asof[g_asof["user_id"] == BOT], ["event_id"])
     assert bot_last["last_purchase_value"].iloc[-1] == 42.25
-    g_sess = events_sessionize(
-        pre_epoch_bot, heavy_threshold=THRESH, slice_width_s=SLICE_S
-    ).to_pandas()
-    p_sess = events_sessionize(pre_epoch_bot, heavy_threshold=10**9).to_pandas()
-    cols = ["user_id", "session_start"]
-    pd.testing.assert_frame_equal(
-        _sorted(g_sess, cols), _sorted(p_sess, cols), check_dtype=False
+    g_sess = events_sessionize(pre_epoch_bot).to_pandas()
+    _assert_oracle(
+        g_sess,
+        _oracle(oracle_sql, "events_sessionize", pre_epoch_bot),
+        ["user_id", "session_start"],
     )
+    assert (g_sess["session_start"] < 0).any()  # sessions before the epoch
 
 
-def test_topk_guarded_equals_unguarded(ray_session, bot_events):
-    guarded = top_events_per_user(
-        bot_events, k=3, heavy_threshold=THRESH, slice_width_s=SLICE_S
-    ).to_pandas()
-    plain = top_events_per_user(
-        bot_events, k=3, heavy_threshold=10**9
-    ).to_pandas()
-    cols = ["user_id", "rank"]
-    pd.testing.assert_frame_equal(
-        _sorted(guarded, cols), _sorted(plain, cols), check_dtype=False
+@pytest.mark.parametrize("bots", ["bot_events", "pre_epoch_bot"])
+def test_topk_bot_matches_oracle(ray_session, bots, oracle_sql, request):
+    sf_dir = request.getfixturevalue(bots)
+    got = top_events_per_user(sf_dir, k=3).to_pandas()
+    _assert_oracle(
+        got,
+        _oracle(oracle_sql, "top_events_per_user", sf_dir),
+        ["user_id", "rank"],
     )
+    assert sorted(got.loc[got["user_id"] == BOT, "rank"]) == [1, 2, 3]

@@ -2005,3 +2005,34 @@ def test_topk_rows_matches_heapq_and_reassociates():
         lvl1 = [topk_rows(t.filter(pa.array(part == p)), k) for p in range(8)]
         lvl2 = topk_rows(pa.concat_tables(lvl1), k)
         assert lvl2.equals(got)
+
+
+def test_read_blocks_carry_no_pandas_metadata(ray_session, tmp_path):
+    """Operator reads drop the files' ``pandas`` schema metadata, which
+    makes Ray's schema dedupe fail to hash the blocks: every read
+    block's schema is the read columns' with no metadata, whole-table
+    and pruned reads of one file and of a directory table alike."""
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from lexor_ray.ops.util import tbl
+
+    t = pa.Table.from_pandas(
+        pd.DataFrame({"a": np.arange(20_000), "b": np.arange(20_000) * 0.5, "c": "x"})
+    )
+    assert b"pandas" in t.schema.metadata
+    pq.write_table(t, tmp_path / "one.parquet")
+    parts = tmp_path / "dir.parquet"
+    parts.mkdir()
+    pq.write_table(t.slice(0, 7_000), parts / "part-0.parquet")
+    pq.write_table(t.slice(7_000), parts / "part-1.parquet")
+    for name in ("one", "dir"):
+        for columns in (None, ["c", "a"]):
+            blocks = ray.get(tbl(str(tmp_path), name, columns).to_arrow_refs())
+            want = t.select(columns or t.column_names).replace_schema_metadata()
+            assert all(b.schema.metadata is None for b in blocks)
+            assert all(b.schema == want.schema for b in blocks)
+            got = pa.concat_tables(blocks).sort_by("a")
+            assert got.equals(want)
