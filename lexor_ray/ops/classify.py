@@ -29,9 +29,10 @@ Scale shape (100 TB):
   the driver ONCE, and the collect is BOUNDED by a real prune between
   the aggregate and the collect (r3 verdict item 1): ``min_count``
   (default 2 — hapax words dropped, the fastText/KenLM recipe) filters
-  inside each shuffle bucket, and optional ``top_v`` keeps only the V
-  most frequent words (per-bucket prefilter → exact ≤64·V-row driver
-  merge; ties broken count-desc then word-asc, deterministically).
+  inside each shuffle partition, and optional ``top_v`` keeps only
+  the V most frequent words (per-partition prefilter → exact driver
+  merge of ≤V rows per shuffle partition; ties broken count-desc
+  then word-asc, deterministically).
   Pruned/unseen words score through the OOV path; the DuckDB oracle
   replays the identical cutoff, so the pruned model stays hash-exact;
 - the model ships via ``ray.put`` once and is read per worker through
@@ -184,13 +185,13 @@ def train_nb_quality(
             ["kind", "word"],
             agg,
             schema,
-            n_buckets=64,
         ),
         schema,
     )
     if top_v is not None:
-        # per-bucket prefilter left ≤64·top_v candidate words; the
-        # exact global top_v is one tiny driver-side pass
+        # per-partition prefilter left ≤top_v candidate words per
+        # shuffle partition; the exact global top_v is one tiny
+        # driver-side pass
         w = counts["kind"] == "w"
         counts = pd.concat(
             [prune_word_counts(counts[w], 1, top_v), counts[~w]],

@@ -975,7 +975,6 @@ def cluster_pairs_distributed(edges, max_rounds: int = 30, n_buckets: int = 64):
             out_col="label",
             carry={"dst": pa.int64()},
             value_type=pa.int64(),
-            n_buckets=n_buckets,
         ).map_batches(
             lambda b: pa.table({"node": b["dst"], "label": b["label"]}),
             batch_format="pyarrow",
@@ -991,7 +990,6 @@ def cluster_pairs_distributed(edges, max_rounds: int = 30, n_buckets: int = 64):
             out_col="parent",
             carry={"node": pa.int64()},
             value_type=pa.int64(),
-            n_buckets=n_buckets,
         ).map_batches(
             lambda b: pa.table({"node": b["node"], "label": b["parent"]}),
             batch_format="pyarrow",

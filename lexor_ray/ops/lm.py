@@ -37,12 +37,12 @@ Scale shape (100 TB):
 - the model is collected ONCE and the collect is BOUNDED by a real
   prune between the aggregate and the collect (r3 verdict item 1,
   the KenLM recipe): ``min_count`` (default 2 — singleton bigrams
-  dropped) filters inside each shuffle bucket, and optional ``top_n``
-  keeps only the N most frequent bigrams (per-bucket prefilter →
-  exact ≤64·N-row driver merge; ties broken count-desc then
-  (prev, cur)-asc, deterministically). The unigram table and the
-  T/V totals derive from the PRUNED bigram table, so the pruned
-  model is self-consistent; pruned bigrams score through backoff
+  dropped) filters inside each shuffle partition, and optional
+  ``top_n`` keeps only the N most frequent bigrams (per-partition
+  prefilter → exact driver merge of ≤N rows per shuffle partition;
+  ties broken count-desc then (prev, cur)-asc, deterministically).
+  The unigram table and the T/V totals derive from the PRUNED bigram
+  table, so the pruned model is self-consistent; pruned bigrams score through backoff
   and pruned-away words through OOV. The DuckDB oracle replays the
   identical cutoff, so the pruned model stays hash-exact;
 - the model ships via ``ray.put`` once, read per worker through the
@@ -175,13 +175,13 @@ def train_bigram_lm(
             ["prev", "cur"],
             agg,
             schema,
-            n_buckets=64,
         ),
         schema,
     )
     if top_n is not None:
-        # per-bucket prefilter left ≤64·top_n candidates; the exact
-        # global top_n is one tiny driver-side pass
+        # per-partition prefilter left ≤top_n candidates per shuffle
+        # partition; the exact global top_n is one tiny driver-side
+        # pass
         c2 = prune_bigram_counts(c2, 1, top_n)
     return lm_model_from_counts(c2)
 
@@ -420,7 +420,6 @@ def _train_both(
             ["kind", "k1"],
             agg,
             schema,
-            n_buckets=64,
         ),
         schema,
     )

@@ -101,7 +101,7 @@ def pack_sequences(sf_dir: str, budget: int = 512, n_shards: int = 64):
         )
 
     def pack(g: pd.DataFrame) -> pd.DataFrame:
-        # a bucket may hold several shards: pack each one's doc_id run
+        # a partition may hold several shards: pack each one's doc_id run
         g = g.sort_values(["shard", "doc_id"], kind="mergesort")
         return pd.concat([pack_shard(s) for _, s in g.groupby("shard", sort=False)])
 

@@ -215,7 +215,6 @@ def heavy_hitter_terms(sf_dir: str, k: int = 20):
         ["term"],
         bucket_topk,
         pa.schema([("term", pa.string()), ("c", pa.int64())]),
-        n_buckets=64,
     )
 
     def top(t: pa.Table) -> pa.Table:

@@ -61,4 +61,4 @@ def first_tool_turn_flags(sf_dir: str, src: str | None = None):
             ("tool_seen_before", pa.bool_()),
         ]
     )
-    return coarse_apply(ds, ["conv_id"], flags, schema, n_buckets=64)
+    return coarse_apply(ds, ["conv_id"], flags, schema)

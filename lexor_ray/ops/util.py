@@ -3,11 +3,11 @@
 Scale-first conventions used across ``lexor_ray.ops``:
 
 - **Prune at the read**: every reader passes ``columns=[...]``.
-- **Sized to the cluster**: every operator read goes through
-  ``read_table``, one block per cluster CPU (``cluster_cpus``) unless
-  the parquet footers' bytes need more blocks of
-  ``target_max_block_size``; ``fold_blocks`` combines on one
-  partition per cluster CPU, at most 16 (``coalesce``).
+- **Reads fuse into the first map**: every operator read goes through
+  ``read_table``, one read task per parquet file in batches sized to
+  ``target_max_block_size``, so Ray fuses it with the caller's first
+  ``map_batches``; ``fold_blocks`` combines on one partition per
+  cluster CPU, at most 16 (``coalesce``).
 - **Partial aggregation**: grouped aggregates combine inside
   ``map_batches`` (vectorized ``pyarrow.Table.group_by`` per batch)
   before the wide ``groupby`` — the shuffle then moves one row per
@@ -16,11 +16,11 @@ Scale-first conventions used across ``lexor_ray.ops``:
   once and are read inside each task; never a shuffle join for a
   small side.
 - **One keyed shuffle**: ``coarse_apply`` is the only place that tags
-  rows with a hash bucket and shuffles on it; ``coarse_dedup``,
+  rows with a hash of their keys and sorts on it; ``coarse_dedup``,
   ``bucketed_join``, ``heavy_keys`` and ``fold_keyed`` are its
-  callers, so a shuffle strategy or bucket-count change lands in one
-  function. Its output is typed by the caller's ``pa.Schema``, and a
-  driver collect of a keyed output goes through ``collect``.
+  callers, so a shuffle strategy change lands in one function. Its
+  output is typed by the caller's ``pa.Schema``, and a driver collect
+  of a keyed output goes through ``collect``.
 - **One bounded fold**: a reassociative combine over a small, fixed
   key domain (flag pairs, query ids, k clusters, one global row)
   goes through ``fold_blocks`` (a ``combine`` per ``coalesce`` block,
@@ -69,8 +69,8 @@ def _footer_bytes(footers: list, columns=None) -> int:
 
 
 def cluster_cpus() -> int:
-    """CPUs of the caller's Ray session: the one sizing rule for read
-    blocks and, capped at 16, for coalescing repartitions."""
+    """CPUs of the caller's Ray session: capped at 16, the partition
+    count of coalescing repartitions (``coalesce``)."""
     import ray
 
     return int(ray.cluster_resources()["CPU"])
@@ -86,27 +86,33 @@ def coalesce(ds):
 
 def read_table(path: str, columns=None):
     """Column-pruned Ray Dataset over one parquet file or directory,
-    read as one block per cluster CPU, or as many blocks of at most
-    ``DataContext.target_max_block_size`` as the footers' uncompressed
-    bytes of ``columns`` need. Ray's own default cuts even a 75 MB
-    file into ~1 MiB blocks, and every block pays the fixed cost of
-    a task in each downstream stage. The read schema is the read
-    columns' arrow schema from the first footer without its metadata:
-    blocks carrying the files' ``pandas`` metadata make Ray's schema
-    dedupe fail to hash them. Runs inside the caller's Ray session."""
-    import math
-
+    read as one task per file in batches of the rows that fit
+    ``DataContext.target_max_block_size`` by the footers' uncompressed
+    bytes of ``columns``. One task per file lets Ray fuse the read
+    into the caller's first ``map_batches``: for more blocks than
+    files Ray splits the read's output, and a split read never fuses,
+    so the whole table goes through the object store before the first
+    map. The batch size keeps the fused map at block-sized calls, not
+    Ray's ~10k-row reader batches. A table stored as one file runs its
+    read and first map in one task. The read schema is the read columns'
+    arrow schema from the first footer without its metadata: blocks
+    carrying the files' ``pandas`` metadata make Ray's schema dedupe
+    fail to hash them. Runs inside the caller's Ray session."""
     import ray.data
 
     footers = _footers(path)
+    rows = sum(md.num_rows for md in footers)
     nbytes = _footer_bytes(footers, columns)
     cap = ray.data.DataContext.get_current().target_max_block_size
-    n = max(cluster_cpus(), math.ceil(nbytes / cap))
     schema = footers[0].schema.to_arrow_schema().remove_metadata()
     if columns is not None:
         schema = pa.schema([schema.field(c) for c in columns])
     return ray.data.read_parquet(
-        path, columns=columns, override_num_blocks=n, schema=schema
+        path,
+        columns=columns,
+        override_num_blocks=len(footers),
+        schema=schema,
+        batch_size=max(1, rows * cap // max(nbytes, 1)),
     )
 
 
@@ -181,14 +187,13 @@ def bucketed_join(
     out_col: str,
     carry: dict,
     value_type=None,
-    n_buckets: int = 64,
 ):
     """TASK-BASED distributed hash join: attach ``right[value_col]``
     to each ``left`` row on ``left[key_col] == right[right_key]``
     (inner). Both sides are tagged and unioned, then ``coarse_apply``
-    on the join key resolves each bucket with one vectorized pandas
-    ``merge`` — this rides the proven task-based sort shuffle instead of
-    ``Dataset.join``'s aggregator ACTOR pool, which reserves CPU
+    on the join key resolves each sort partition with one vectorized
+    pandas ``merge`` — this rides the proven task-based sort shuffle
+    instead of ``Dataset.join``'s aggregator ACTOR pool, which reserves CPU
     proportional to num_partitions and deadlocks chained joins on
     small CPU budgets (measured; CLAUDE.md actor-pool rule).
 
@@ -232,24 +237,27 @@ def bucketed_join(
         )
         return m[schema.names]
 
-    return coarse_apply(tagged, ["__key"], resolve, schema, n_buckets=n_buckets)
+    return coarse_apply(tagged, ["__key"], resolve, schema)
 
 
-def coarse_apply(ds, keys: list[str], fn, schema: pa.Schema, n_buckets: int = 256):
-    """Apply a VECTORIZED pandas function per coarse hash bucket of
-    ``keys``: shuffle on ``hash(keys) % n_buckets``, call ``fn`` once
-    per bucket with all of that bucket's rows (every fine key's rows
-    colocated). There is no per-fine-group Python call at all — ``fn``
-    is expected to handle the whole bucket with pandas
-    groupby/transform kernels. The right shape for per-key ordered
-    analytics over millions of tiny keys.
+def coarse_apply(ds, keys: list[str], fn, schema: pa.Schema):
+    """Apply a VECTORIZED pandas function per sort partition of a hash
+    of ``keys``: tag each row with a 31-bit hash of its keys, sort on
+    the tag, and call ``fn`` once per sort partition with all of its
+    rows. A range partition keeps every tag value whole, so all rows of
+    a key meet in one call; ``fn`` must handle every key of its frame
+    with pandas groupby/transform kernels — there is no per-key (or
+    per-bucket) Python call at all. The right shape for per-key ordered
+    analytics over millions of tiny keys. Ray's
+    ``groupby().map_groups`` runs the same sort and then one pandas
+    round-trip and one ``fn`` call per tag value.
 
     Output contract: every non-empty block is an arrow table of
     exactly ``schema``. ``fn`` returns a pandas frame whose columns
     include ``schema.names`` (extra columns are dropped, dtypes are
     converted here), and may return any empty frame. Ray never calls
-    ``fn`` on an empty bucket; an all-empty result still has no schema
-    inside Ray, so a driver collect goes through :func:`collect`."""
+    ``fn`` on an empty partition; an all-empty result still has no
+    schema inside Ray, so a driver collect goes through :func:`collect`."""
     import pandas as pd
 
     def add_bucket(batch: pa.Table) -> pa.Table:
@@ -258,18 +266,23 @@ def coarse_apply(ds, keys: list[str], fn, schema: pa.Schema, n_buckets: int = 25
         h = pd.util.hash_pandas_object(batch.select(keys).to_pandas(), index=False)
         # no pandas metadata on either side of the shuffle: Ray hashes
         # block schemas to dedupe them, and a metadata dict is unhashable
-        bucket = pa.array((h % n_buckets).astype("int32"))
+        bucket = pa.array((h.to_numpy() >> np.uint64(33)).astype(np.int32))
         return batch.append_column("__bucket", bucket).replace_schema_metadata()
 
-    def per_bucket(g: pd.DataFrame) -> pa.Table:
+    def per_partition(g: pd.DataFrame) -> pa.Table:
         out = fn(g.drop(columns="__bucket"))
         if len(out) == 0:
             return schema.empty_table()
         t = pa.Table.from_pandas(out, schema=schema, preserve_index=False)
         return t.replace_schema_metadata()
 
-    bucketed = ds.map_batches(add_bucket, batch_format="pyarrow")
-    return bucketed.groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
+    # batch_size=None: one call per sort partition (a partition is one
+    # block), never a slice that would split a key
+    return (
+        ds.map_batches(add_bucket, batch_format="pyarrow")
+        .sort("__bucket")
+        .map_batches(per_partition, batch_format="pandas", batch_size=None)
+    )
 
 
 def collect(ds, schema: pa.Schema):
@@ -285,8 +298,8 @@ def heavy_keys(ds, key: str, key_type: pa.DataType, threshold: int):
     count is at least ``threshold``, as a tiny pandas frame ``(key,
     n)``. One column-pruned scan emits a per-batch ``value_counts``
     partial (one row per distinct key per batch), ONE coarse keyed
-    shuffle sums and filters per bucket (exact: a key lives entirely
-    in one bucket). The collect is bounded by construction — at most
+    shuffle sums and filters per partition (exact: a key lives entirely
+    in one partition). The collect is bounded by construction — at most
     ``total_rows / threshold`` keys survive. Its one caller is
     ``relational.events_asof_join``, which salts the flagged keys by
     time slice: its output has a row per click, so no per-block fold
@@ -314,17 +327,15 @@ def heavy_keys(ds, key: str, key_type: pa.DataType, threshold: int):
         return s[s["n"] >= threshold]
 
     parts = ds.map_batches(partial, batch_format="pyarrow")
-    return collect(coarse_apply(parts, [key], agg, schema, n_buckets=64), schema)
+    return collect(coarse_apply(parts, [key], agg, schema), schema)
 
 
 def coarse_dedup(ds, keys: list[str], schema: pa.Schema):
     """Distributed drop-duplicates on ``keys``: one ``coarse_apply``
-    with a vectorized ``drop_duplicates`` per bucket (every copy of a
-    key lands in one bucket). ``schema`` is the input's, which the
+    with a vectorized ``drop_duplicates`` per partition (every copy of
+    a key lands in one partition). ``schema`` is the input's, which the
     output keeps."""
-    return coarse_apply(
-        ds, keys, lambda g: g.drop_duplicates(keys), schema, n_buckets=64
-    )
+    return coarse_apply(ds, keys, lambda g: g.drop_duplicates(keys), schema)
 
 
 def fold_keyed(parts, keys: list[str], schema: pa.Schema, aggs: dict | None = None):
@@ -333,8 +344,8 @@ def fold_keyed(parts, keys: list[str], schema: pa.Schema, aggs: dict | None = No
     the same ``aggs`` contract: every non-key column is folded with
     ``"sum"`` unless ``aggs`` names ``"min"`` or ``"max"`` for it, and
     value columns keep their names. One ``coarse_apply`` shuffle with
-    ONE vectorized pandas ``groupby(keys).agg`` per bucket (every row
-    of a key lands in one bucket, so the fold is exact). Null keys
+    ONE vectorized pandas ``groupby(keys).agg`` per partition (every
+    row of a key lands in one partition, so the fold is exact). Null keys
     form their own group, as in SQL ``GROUP BY``.
 
     Feed it per-batch partials (one row per key per batch) — the
@@ -345,7 +356,7 @@ def fold_keyed(parts, keys: list[str], schema: pa.Schema, aggs: dict | None = No
         kind = {c: (aggs or {}).get(c, "sum") for c in g.columns if c not in keys}
         return g.groupby(keys, sort=False, dropna=False).agg(kind).reset_index()
 
-    return coarse_apply(parts, keys, fold, schema, n_buckets=64)
+    return coarse_apply(parts, keys, fold, schema)
 
 
 def sql_source(table_or_path: str) -> str:

@@ -149,8 +149,18 @@ def test_sessionize_bot_matches_oracle(ray_session, bot_events, oracle_sql):
     dur_h = (bot["session_end"] - bot["session_start"]).max() / 3.6e9
     assert dur_h > 5
     # ...yet it reaches the shuffle as a few session partials per read
-    # block (its events are stored in time order), not 5018 events
-    blocks = tbl(bot_events, "events", columns=["user_id", "ts"]).materialize()
+    # batch (its events are stored in time order), not 5018 events. The
+    # whole table is one read batch under the default block cap; a
+    # lowered cap makes the bot span several.
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    cap = ctx.target_max_block_size
+    ctx.target_max_block_size = 32 * 1024
+    try:
+        blocks = tbl(bot_events, "events", columns=["user_id", "ts"]).materialize()
+    finally:
+        ctx.target_max_block_size = cap
     parts = blocks.map_batches(
         lambda b: session_partials(b, 600), batch_format="pandas"
     ).to_pandas()

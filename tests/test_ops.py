@@ -1293,8 +1293,7 @@ def test_coarse_dedup_matches_pandas(ray_session, keys):
 def test_bucketed_join_matches_pandas_merge(ray_session, as_str):
     """Inner-join semantics: duplicate keys on both sides multiply, a
     key on only one side drops out. The right side holds two distinct
-    keys, so it reaches at most 2 of the 8 buckets and the 40 left keys
-    leave buckets with no right-side rows."""
+    keys, so 38 of the 40 left keys meet no right-side row."""
     import pyarrow as pa
     import ray.data
 
@@ -1321,7 +1320,6 @@ def test_bucketed_join_matches_pandas_merge(ray_session, as_str):
             out_col="rv",
             carry={"k": key_type, "lv": pa.int64()},
             value_type=pa.string() if as_str else pa.int64(),
-            n_buckets=8,
         )
     )
     want = left.merge(right.rename(columns={"rk": "k"}), on="k", how="inner")
@@ -1369,7 +1367,6 @@ def test_bucketed_join_casts_to_declared_types(ray_session):
             out_col="rv",
             carry={"k": pa.int64(), "lv": pa.int64()},
             value_type=pa.int64(),
-            n_buckets=4,
         ).to_pandas()
     finally:
         log.removeHandler(grab)
@@ -1511,12 +1508,17 @@ def test_keyed_primitives_type_all_empty_input(ray_session):
     )
 
 
-def test_coarse_apply_types_drifting_fn_output(ray_session):
-    """``fn`` returning int32 in some buckets, int64 in others and an
+def test_coarse_apply_types_drifting_fn_output(ray_session, tmp_path):
+    """``fn`` returning int32 in some calls, int64 in others and an
     empty object-typed frame in the rest still yields ONE block type:
     every non-empty output block is an arrow table of the declared
     schema, and Ray logs no "different schema" warning with a
-    non-empty new schema."""
+    non-empty new schema. Each call picks its output kind by the min
+    key of its frame and records its keys and kind, so the expected
+    rows follow the calls that actually ran."""
+    import json
+    import uuid
+
     import pyarrow as pa
     import ray
     import ray.data
@@ -1527,39 +1529,97 @@ def test_coarse_apply_types_drifting_fn_output(ray_session):
     src["v"] = src["k"] * 10
 
     def fn(g: pd.DataFrame) -> pd.DataFrame:
-        kind = g["k"].min() % 3
+        kind = int(g["k"].min() % 3)
+        call = {"kind": kind, "keys": sorted(g["k"].unique().tolist())}
+        (tmp_path / f"{uuid.uuid4().hex}.json").write_text(json.dumps(call))
         if kind == 0:
             return g.astype({"v": "int32"})
         if kind == 1:
             return g
         return pd.DataFrame({"k": pd.Series([], dtype=object), "v": []})
 
-    # the bucket of each key, as coarse_apply tags it: all three kinds
-    # of fn output occur
-    bucket = pd.util.hash_pandas_object(src[["k"]], index=False) % 8
-    kind = src.groupby(bucket)["k"].transform("min") % 3
-    assert set(kind) == {0, 1, 2}
-
     schema = pa.schema([("k", pa.int64()), ("v", pa.int64())])
     blocks: list = []
 
     def run():
+        # 30 two-row blocks: 30 sort partitions, many calls
         out = coarse_apply(
-            ray.data.from_pandas([src.iloc[i::3] for i in range(3)]),
+            ray.data.from_pandas([src.iloc[i::30] for i in range(30)]),
             ["k"],
             fn,
             schema,
-            n_buckets=8,
         )
         for bundle in out.iter_internal_ref_bundles():
             blocks.extend(ray.get(bundle.block_refs))
 
     assert _non_empty_schema_drift(run) == []
+    calls = [json.loads(f.read_text()) for f in tmp_path.glob("*.json")]
+    # all three kinds of fn output occurred, each key in one call
+    assert {c["kind"] for c in calls} == {0, 1, 2}
+    seen = [k for c in calls for k in c["keys"]]
+    assert sorted(seen) == list(range(30))
     rows = [b for b in blocks if len(b)]
     assert all(isinstance(b, pa.Table) and b.schema == schema for b in rows)
     got = pa.concat_tables(rows).to_pandas().sort_values(["k", "v"], ignore_index=True)
-    want = src[kind != 2].sort_values(["k", "v"], ignore_index=True)
+    kept = {k for c in calls if c["kind"] != 2 for k in c["keys"]}
+    want = src[src["k"].isin(kept)].sort_values(["k", "v"], ignore_index=True)
     pd.testing.assert_frame_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["int64", "string", "nulls"])
+def test_coarse_apply_one_call_per_key(ray_session, kind):
+    """Under random block layouts every key reaches exactly one ``fn``
+    call, with all of its rows, and ``fn`` runs at most once per sort
+    partition (the sort makes one partition per input block). Keys are
+    an int column, a string column, or an int and a string column with
+    nulls (null forms one key, as in SQL ``GROUP BY``). Each call tags
+    its output with its own id."""
+    import uuid
+
+    import pyarrow as pa
+    import ray.data
+
+    from lexor_ray.ops.util import coarse_apply
+
+    rng = np.random.default_rng(["int64", "string", "nulls"].index(kind))
+    n = 600
+    k = rng.integers(0, 150, n)
+    if kind == "int64":
+        src = pd.DataFrame({"k": k})
+        fields = [("k", pa.int64())]
+    elif kind == "string":
+        src = pd.DataFrame({"k": [f"user-{x}" for x in k]})
+        fields = [("k", pa.string())]
+    else:
+        s = pd.Series([None if x % 7 == 0 else f"s{x % 11}" for x in k], dtype=object)
+        src = pd.DataFrame({"k": k % 13, "s": s})
+        fields = [("k", pa.int64()), ("s", pa.string())]
+    keys = [f for f, _ in fields]
+    src["v"] = np.arange(n, dtype="int64")
+    schema = pa.schema([*fields, ("rows", pa.int64()), ("call", pa.string())])
+
+    def fn(g: pd.DataFrame) -> pd.DataFrame:
+        out = g.groupby(keys, sort=False, dropna=False).size().reset_index(name="rows")
+        out["call"] = uuid.uuid4().hex
+        return out
+
+    def canon(frame: pd.DataFrame) -> pd.Series:
+        return frame[keys].astype(str).agg("|".join, axis=1)
+
+    want = canon(src).value_counts().sort_index()
+    for _ in range(3):
+        cuts = np.sort(rng.choice(np.arange(1, n), rng.integers(1, 12), replace=False))
+        order = rng.permutation(n)
+        parts = [src.iloc[p] for p in np.split(order, cuts)]
+        got = coarse_apply(ray.data.from_pandas(parts), keys, fn, schema).to_pandas()
+        # one output row per key: no key was split across calls
+        assert canon(got).is_unique
+        pd.testing.assert_series_equal(
+            pd.Series(got["rows"].to_numpy(), index=canon(got)).sort_index(),
+            want,
+            check_names=False,
+        )
+        assert got["call"].nunique() <= len(parts)
 
 
 def test_customers_without_orders_when_no_recent_order(ray_session):
@@ -1692,11 +1752,12 @@ def test_turns_per_conversation_counts_null_text(ray_session, tmp_path, monkeypa
 
 
 def test_one_keyed_shuffle_in_package():
-    """The bucket tag, its hash and Ray's ``map_groups`` appear in one
+    """The bucket tag, its hash and the sort on it appear in one
     function only, ``ops/util.coarse_apply``: every keyed shuffle goes
-    through it. The one single-task gather, ``repartition(1)``, appears
-    only in ``ops/util.fold_blocks``: every bounded fold goes through
-    it. No keyed aggregate bypasses them through Ray's sort-based
+    through it. Ray's ``map_groups`` (one pandas round-trip and one
+    call per group) appears nowhere. The one single-task gather,
+    ``repartition(1)``, appears only in ``ops/util.fold_blocks``:
+    every bounded fold goes through it. No keyed aggregate bypasses them through Ray's sort-based
     ``groupby(...).aggregate(...)`` or ``groupby(...).count()``. The
     stacked LSH pair expansion, ``np.triu_indices``, appears only in
     ``ops/dedup.band_pairs`` and the three fallbacks for a single
@@ -1713,6 +1774,7 @@ def test_one_keyed_shuffle_in_package():
     hits: dict[str, set] = {
         '"__bucket"': set(),
         "hash_pandas_object": set(),
+        '.sort("__bucket")': set(),
         ".map_groups(": set(),
         ".repartition(1)": set(),
         "np.triu_indices": set(),
@@ -1740,7 +1802,8 @@ def test_one_keyed_shuffle_in_package():
     assert hits == {
         '"__bucket"': want,
         "hash_pandas_object": want,
-        ".map_groups(": want,
+        '.sort("__bucket")': want,
+        ".map_groups(": set(),
         ".repartition(1)": {"ops/util.py:fold_blocks"},
         "np.triu_indices": {
             "ops/dedup.py:band_pairs",
@@ -1811,9 +1874,10 @@ def test_sorts_follow_ordering_contract():
     top-ks, the key-bounded distinct-user roll-up and the quantiles.
     Every other operator returns its rows unordered. Checked on the
     syntax tree: a ``.sort(`` call counts unless its receiver is
-    ``np`` or a list the function builds itself. The sort Ray's
-    ``map_groups`` runs inside ``ops/util.coarse_apply`` is no call
-    of the package and does not count."""
+    ``np`` or a list the function builds itself. The one sort outside
+    the contract is ``ops/util.coarse_apply``'s keyed sort on its hash
+    tag: it is the keyed shuffle itself (a range partition keeps each
+    tag value whole), not an output order."""
     import ast
     import pathlib
 
@@ -1846,6 +1910,7 @@ def test_sorts_follow_ordering_contract():
                     owner = getattr(top, "name", "<module>")
                     hits.add(f"{path.relative_to(pkg)}:{owner}")
     assert hits == {
+        "ops/util.py:coarse_apply",
         "pipeline.py:stable_order",
         "ops/relational.py:q3_top_revenue_orders",
         "ops/relational.py:top_customers_by_balance",
@@ -1854,27 +1919,28 @@ def test_sorts_follow_ordering_contract():
     }
 
 
-def test_reads_sized_to_cluster(ray_session, tmp_path, monkeypatch):
-    """An operator read is one block per cluster CPU, or as many blocks
-    of at most ``DataContext.target_max_block_size`` as the parquet
-    footers' uncompressed bytes of the read columns need — not Ray's
-    default of ~1 MiB blocks with a floor of two per CPU. A directory
-    table sums the footers of all its files."""
+def test_reads_fuse_into_first_map(ray_session, tmp_path):
+    """An operator read is one read task per parquet file, read in
+    batches of the rows that fit ``DataContext.target_max_block_size``
+    by the footers' uncompressed bytes of the read columns. Ray then
+    fuses the read into the caller's first ``map_batches`` (a read
+    asked for more blocks than files gets a ``SplitBlocks`` stage,
+    which never fuses), and the fused map sees block-sized batches,
+    not Ray's ~10k-row reader batches. A directory table sums the
+    footers of all its files."""
     import math
+    import re
 
     import pyarrow as pa
     import pyarrow.parquet as pq
-    import ray
-    import ray.data
     from ray.data import DataContext
 
     from lexor_ray.ops.util import column_bytes, table_rows, tbl
 
-    cpus = int(ray.cluster_resources()["CPU"])
     rng = np.random.default_rng(3)
     n = 400_000
     t = pa.table({"a": rng.integers(0, 2**62, n), "b": rng.standard_normal(n)})
-    pq.write_table(t, tmp_path / "big.parquet", row_group_size=50_000)
+    pq.write_table(t, tmp_path / "big.parquet")  # one row group
     parts = tmp_path / "docs.parquet"
     parts.mkdir()
     pq.write_table(t.slice(0, 250_000), parts / "part-0.parquet")
@@ -1885,40 +1951,45 @@ def test_reads_sized_to_cluster(ray_session, tmp_path, monkeypatch):
         rgs = [md.row_group(r) for md in mds for r in range(md.num_row_groups)]
         return sum(rg.column(0).total_uncompressed_size for rg in rgs)
 
-    # a multi-MB table (more of Ray's 1 MiB blocks than CPUs) reads as
-    # one block per CPU, a single file and a two-file directory alike
-    assert t.nbytes > cpus * 2**20
-    assert tbl(str(tmp_path), "big").materialize().num_blocks() == cpus
-    assert tbl(str(tmp_path), "docs").materialize().num_blocks() == cpus
+    def calls(name, columns=None):
+        """Rows of each call of a first map over the table, and the
+        executed plan's stats."""
+        ds = tbl(str(tmp_path), name, columns).map_batches(
+            lambda b: pa.table({"rows": [b.num_rows]}), batch_format="pyarrow"
+        )
+        rows = sorted(r["rows"] for r in ds.take_all())
+        return rows, ds.stats()
 
-    # the two-file directory sums both footers
+    def read_tasks(stats):
+        m = re.search(r"ReadParquet->MapBatches\(<lambda>\): (\d+) tasks", stats)
+        assert m and "SplitBlocks" not in stats, stats
+        return int(m.group(1))
+
+    # a multi-MB file is one read task and, under the default cap, one
+    # call of the fused map
+    rows, stats = calls("big")
+    assert (rows, read_tasks(stats)) == ([n], 1)
+
+    # a two-file directory: one read task per file; it sums both footers
+    rows, stats = calls("docs")
+    assert (rows, read_tasks(stats)) == ([150_000, 250_000], 2)
     two = (parts / "part-0.parquet", parts / "part-1.parquet")
     assert table_rows(str(tmp_path), "docs") == n
     assert column_bytes(str(tmp_path), "docs", "a") == a_bytes(*two)
 
-    # a lowered block cap asks for ceil(footer bytes / cap) blocks
-    asked = []
-    read_parquet = ray.data.read_parquet
-
-    def spy(*args, **kwargs):
-        asked.append(kwargs.get("override_num_blocks"))
-        return read_parquet(*args, **kwargs)
-
-    monkeypatch.setattr(ray.data, "read_parquet", spy)
+    # a lowered block cap gives ceil(rows / batch rows) calls, where a
+    # batch is the rows that fit the cap by the read columns' bytes
     ctx = DataContext.get_current()
     cap = ctx.target_max_block_size
     ctx.target_max_block_size = 256 * 1024
     try:
-        tbl(str(tmp_path), "big", columns=["a"])
-        tbl(str(tmp_path), "docs", columns=["a"])
+        rows, stats = calls("big", columns=["a"])
     finally:
         ctx.target_max_block_size = cap
-    want = [
-        math.ceil(a_bytes(tmp_path / "big.parquet") / (256 * 1024)),
-        math.ceil(a_bytes(*two) / (256 * 1024)),
-    ]
-    assert min(want) > cpus
-    assert asked == want
+    batch = n * 256 * 1024 // a_bytes(tmp_path / "big.parquet")
+    assert read_tasks(stats) == 1
+    assert len(rows) == math.ceil(n / batch) > 2
+    assert max(rows) == batch and sum(rows) == n
 
 
 def test_fold_blocks_finishes_in_one_call(ray_session):
