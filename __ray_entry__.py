@@ -54,22 +54,21 @@ def queries() -> dict[str, Callable[[str], Any]]:
     (CORRECTNESS_r01/r02 both hold 50 rows), so round 2's 55-entry
     dict silently dropped its tail from the record (round-2 verdict
     item 1). Oracle-checked entries come FIRST; the handful of
-    genuinely non-SQL rows-only entries close the dict. Operators that
-    lost their own entry to the window are RECORDED MERGED, not
-    removed: token_counts+quality_counts+quality_scores+
-    filter_quality_documents → text_quality_stats (one scan: every
-    integer signal, every float score, the filter verdict),
+    genuinely non-SQL rows-only entries close the dict. The per-
+    document text-quality and media families have ONE operator each,
+    the recorded one: text_quality_stats (token and character counts,
+    quality scores and the filter verdict in one scan),
+    doc_signals (language ID + repetition signals), gopher_quality
+    and media_pipeline (decode, features, frame sampling and resize
+    in one scan). Operators that lost their own entry to the window
+    are RECORDED MERGED, not removed:
     lsh/ivf_ann_topk → ann_recall (now oracle-gated),
-    media_features/frame_sample/resize_media → media_pipeline,
     conversation_stats_salted runs turns_per_conversation (name and
     SQL kept; no salting pass is needed, because a per-batch partial
     already bounds a hot conversation to one row per batch),
-    lang_distribution ⊂ lang_id ⊂ doc_signals (lang_id +
-    repetition_signals fused into one per-doc scan since r3 to make
-    room for the model-based entries; nb_quality_scores+lm_perplexity
-    → model_quality (one shuffle-free scoring scan, both train+score
-    chains SQL-replayed); the standalone ops stay column-identity
-    tested in pytest),
+    nb_quality_scores+lm_perplexity → model_quality (one shuffle-free
+    scoring scan, both train+score chains SQL-replayed; the
+    standalone ops stay column-identity tested in pytest),
     ngram_jaccard_pairs+simhash_candidates+semdedup →
     neardup_candidates (tagged union of the candidate/score/decision
     sets),
@@ -178,22 +177,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # incremental dedup) recorded as ONE wide oracle-checked row
         # per document — each stays first-class with its own tests
         "curation_docs": curation.curation_docs,
-        # text analysis (token/quality/score/filter ops recorded fused)
+        # text analysis: token/char counts, quality scores and the
+        # filter verdict per document in one scan
         "text_quality_stats": textstats.text_quality_stats,
         # the FULL Gopher quality filter (Rae et al. 2021 §A1.1):
         # repetition fractions + signal counts + per-rule verdicts in
-        # one scan; SUBSUMES gopher_ngram_stats (recorded here through
-        # r3-early; columns asserted identical in tests)
+        # one scan
         "gopher_quality": textstats.gopher_quality,
         # winnowing fingerprints (Schleimer et al.): the polynomial
         # byte hash + window-min + xor-fold is replayed exactly in SQL
         "fingerprints": textstats.fingerprints,
         "bpe_token_counts": textstats.bpe_token_counts,
         "tfidf_top_terms": textstats.tfidf_top_terms,
-        # doc_signals fuses lang_id + repetition_signals into one scan;
-        # lang_id's per-doc (pred_lang, lang) rows SUBSUME the
-        # lang_distribution roll-up (a deterministic groupby of the
-        # checked column); the standalone ops stay identity-tested
+        # language ID + repetition signals per document in one scan
         "doc_signals": textstats.doc_signals,
         "doc_length_quantiles": textstats.doc_length_quantiles,
         # CCNet/DCLM-style model-based quality, fused recording row
@@ -630,10 +626,9 @@ def oracle_sql() -> dict[str, str]:
             FROM algos a CROSS JOIN q
             ORDER BY a.algo, q.query_id
         """,
-        # token_counts + quality_counts + quality_scores +
-        # filter_quality_documents fused: the integer token/char
-        # signals, the score arithmetic term-for-term (floor-truncated
-        # both sides), the filter signals and the passes verdict
+        # the integer token/char signals (words are RE2 \S+ runs),
+        # the score arithmetic term-for-term (floor-truncated both
+        # sides), the filter signals and the passes verdict
         "text_quality_stats": r"""
             WITH sig AS (
                 SELECT doc_id, text,
@@ -644,9 +639,8 @@ def oracle_sql() -> dict[str, str]:
                            '[0-9]', '', 'g')) AS BIGINT) AS n_digits,
                        CAST(length(text) - length(regexp_replace(text,
                            '[A-Z]', '', 'g')) AS BIGINT) AS n_upper,
-                       CAST(CASE WHEN trim(text) = '' THEN 0
-                            ELSE array_length(string_split_regex(trim(text), '\s+'))
-                       END AS BIGINT) AS n_words_ws
+                       CAST(len(regexp_extract_all(text, '\S+')) AS BIGINT)
+                           AS n_words_ws
                 FROM documents
             ), agg AS (
                 SELECT doc_id, n_chars, raw_chars, n_digits, n_upper, n_words_ws,

@@ -140,7 +140,10 @@ def run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
     timed("minhash_dedup", lambda: dedup.minhash_dedup(sf_dir).to_pandas())
     timed("brute_force_topk", lambda: similarity.brute_force_topk(sf_dir).to_pandas())
     timed("lsh_ann_topk", lambda: similarity.lsh_ann_topk(sf_dir).to_pandas())
-    timed("token_counts", lambda: textstats.token_counts(sf_dir).to_pandas())
+    timed(
+        "text_quality_stats",
+        lambda: textstats.text_quality_stats(sf_dir).to_pandas(),
+    )
 
     from lexor_ray.ops import decontam, pii
 

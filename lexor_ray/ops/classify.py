@@ -3,10 +3,11 @@
 The public curation recipe (CCNet, Wenzek et al. 2020; GPT-3 §A;
 DCLM): train a cheap linear text classifier on quality labels, then
 score the whole corpus with it. Here the teacher is this repo's own
-rule-based quality filter (``textstats.filter_quality_documents``
-semantics) and the student is a multinomial Naive Bayes over
-whitespace tokens — the closed-form stand-in for fastText's linear
-classifier (no GPU, no iterative training, deterministic).
+rule-based quality filter (``textstats.passes_quality_filter``, the
+``passes`` column of ``text_quality_stats``) and the student is a
+multinomial Naive Bayes over whitespace tokens — the closed-form
+stand-in for fastText's linear classifier (no GPU, no iterative
+training, deterministic).
 
 Exactness: every log-probability is quantized to FIXED-POINT
 micro-nats (``floor(ln(p) * 1e6)`` as int64) at model-build time, so a
@@ -56,21 +57,14 @@ _LP_SCALE = 1e6
 
 
 def _labels_and_tokens(batch: pd.DataFrame, min_words: int, max_punct_pct: int):
-    """(is_train, label, token lists) for a batch — the teacher rule
-    (integer arithmetic, identical to filter_quality_documents) plus
-    the deterministic split hash."""
-    # char classes come from textstats — the declared single source of
-    # truth (r5 review: inline copies silently diverge the NB/LM
-    # training labels from the filter they distill)
-    from .textstats import RE_PUNCT, RE_WORD
+    """(is_train, label, token lists) for a batch — the teacher label
+    is the rule filter's verdict (``textstats.passes_quality_filter``
+    over the one quality kernel), plus the deterministic split hash."""
+    from .textstats import RE_WORD, _quality_signals, passes_quality_filter
 
     texts = batch["text"].fillna("")
-    n_chars = texts.str.len().astype("int64")
-    n_words = texts.str.count(RE_WORD).astype("int64")
-    n_punct = texts.str.count(RE_PUNCT).astype("int64")
-    label = (
-        (n_words >= min_words) & (n_punct * 100 <= n_chars * max_punct_pct)
-    ).to_numpy()
+    sig = _quality_signals(pa.array(texts, type=pa.string()))
+    label = passes_quality_filter(sig, min_words, max_punct_pct)
     h = splitmix64(batch["doc_id"].to_numpy(np.int64).view(np.uint64))
     is_train = (h % np.uint64(1000)).astype(np.int64) < TRAIN_BP
     return is_train, label, texts.str.findall(RE_WORD)

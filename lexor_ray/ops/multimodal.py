@@ -1,17 +1,17 @@
 """Multimodal column plumbing: opaque binary payloads with typed
-metadata, decoded/feature-extracted by stateless-task stages whose
-decoders live in the per-worker cache (``ops/util.cached``).
+metadata, decoded and feature-extracted in one stateless-task stage,
+:func:`media_pipeline`.
 
 Two REAL pure-numpy codecs are implemented — 24-bit BMP
 (:func:`decode_bmp`) and 8-bit RGB PNG with full five-filter
 unfiltering (:func:`decode_png`, stdlib zlib inflate) — so the decode
-stage genuinely decodes pixels for those media types. JPEG-class
-formats (no codec library in this container) keep the clearly-marked
-deterministic stub path in :class:`StubDecoder`. Either way the
-Ray-side plumbing is real and tested: binary columns ride Arrow blocks
-zero-copy, batches are sized small for wide rows, the stage amortizes
-per-worker setup, and the output layout (fixed-size feature vectors +
-scalar metadata) is what a production decoder would produce.
+stage genuinely decodes pixels for those media types. ``image/fake``
+payloads are raw pixel bytes; JPEG-class formats (no codec library in
+this container) raise ``NotImplementedError`` in :func:`decode_image`,
+the one media-type dispatch. Either way the Ray-side plumbing is real
+and tested: binary columns ride Arrow blocks zero-copy, batches are
+sized small for wide rows, and the output layout (feature statistics
++ scalar metadata) is what a production decoder would produce.
 """
 
 from __future__ import annotations
@@ -234,16 +234,18 @@ def synthesize_media(sf_dir: str):
 
 
 def decode_image(payload: bytes, media_type: str, w: int, h: int) -> np.ndarray:
-    """Single media-type → pixel-array dispatch shared by every stage
-    (decode features / resize / fused pipeline — previously three
-    copy-pasted dispatch sites): real decode for BMP/PNG, the
-    documented fake-payload reshape otherwise. A fake payload must
-    hold exactly ``w * h`` bytes, one per pixel; any other length
-    raises ``ValueError``."""
+    """The one media-type → pixel-array dispatch: real decode for
+    BMP/PNG, the documented fake-payload reshape for ``image/fake``.
+    A fake payload must hold exactly ``w * h`` bytes, one per pixel;
+    any other length raises ``ValueError``. Any other media type
+    raises ``NotImplementedError``: there is no codec library for
+    JPEG-class formats in this environment."""
     if media_type == "image/bmp":
         return decode_bmp(payload)
     if media_type == "image/png":
         return decode_png(payload)
+    if media_type != "image/fake":
+        raise NotImplementedError(f"no codec for {media_type!r} in this environment")
     if len(payload) != w * h:
         raise ValueError(
             f"{media_type} payload is {len(payload)} bytes, but the size "
@@ -252,174 +254,34 @@ def decode_image(payload: bytes, media_type: str, w: int, h: int) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
 
 
-class StubDecoder:
-    """Mixed-codec decoder stage. ``image/bmp`` and ``image/png``
-    payloads get a REAL decode (:func:`decode_bmp` /
-    :func:`decode_png` — pure struct+numpy+zlib, no image library)
-    to an (h, w, 3) pixel array whose statistics become the features.
-    ``image/fake`` payloads keep the honest stub (mean/std over raw
-    bytes — PIL/opencv are not in this container for JPEG-class
-    formats). Either way the call signature, batch sizing and output
-    schema are the production contract. Raises NotImplementedError for
-    media types neither path handles."""
-
-    REAL_DECODE = ("image/bmp", "image/png")
-
-    def __init__(self, feature_dim: int = 4) -> None:
-        self.feature_dim = feature_dim
-
-    def features_from_pixels(self, pix: np.ndarray, payload: bytes) -> np.ndarray:
-        """Feature vector from an already-decoded pixel array — lets
-        fused stages decode ONCE and reuse the pixels."""
-        return np.array(
-            [
-                float(pix.mean()),
-                float(pix.std()),
-                float(pix.shape[0] * pix.shape[1]),
-                float(zlib.crc32(payload) % 1_000_000),
-            ],
-            dtype=np.float32,
-        )
-
-    def decode_features(self, payload: bytes, media_type: str) -> np.ndarray:
-        if media_type in self.REAL_DECODE:
-            pix = decode_image(payload, media_type, 0, 0)
-            return self.features_from_pixels(pix, payload)
-        if media_type not in ("image/fake",):
-            raise NotImplementedError(
-                f"no codec for {media_type!r} in this environment"
-            )
-        arr = np.frombuffer(payload, dtype=np.uint8)
-        return np.array(
-            [
-                float(arr.mean()) if len(arr) else 0.0,
-                float(arr.std()) if len(arr) else 0.0,
-                float(len(arr)),
-                float(zlib.crc32(payload) % 1_000_000),
-            ],
-            dtype=np.float32,
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        # materialize the wide binary column out of Arrow ONCE — it is
-        # the dominant per-batch allocation on this stage (r4 review:
-        # a second to_pylist for n_bytes doubled it)
-        payloads = batch.column("payload").to_pylist()
-        feats = np.stack(
-            [
-                self.decode_features(p, m)
-                for p, m in zip(payloads, batch.column("media_type").to_pylist())
-            ]
-        )
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "n_bytes": pa.array(
-                    [len(p) for p in payloads], type=pa.int64()
-                ),
-                "features": pa.FixedSizeListArray.from_arrays(
-                    pa.array(feats.reshape(-1), type=pa.float32()), self.feature_dim
-                ),
-            }
-        )
-
-
-def media_features(sf_dir: str):
-    """Binary-column pipeline: synthesize → decode (per-worker cache,
-    ``ops/util.cached``) with
-    SMALL batches (wide binary rows need a low batch_size so
-    batch × concurrency fits the heap — the memory-aware rule)."""
-    ds = synthesize_media(sf_dir)
-    from .util import cached
-
-    feats = ds.map_batches(
-        lambda b: cached("stub-decoder", StubDecoder)(b),
-        batch_format="pyarrow",
-        batch_size=64,
+def features_from_pixels(pix: np.ndarray, payload: bytes) -> np.ndarray:
+    """Feature vector of a decoded pixel array: mean, std, pixel
+    count and a payload checksum (float32). For a fake payload the
+    statistics are those of its raw bytes, since its pixels are
+    those bytes."""
+    return np.array(
+        [
+            float(pix.mean()),
+            float(pix.std()),
+            float(pix.shape[0] * pix.shape[1]),
+            float(zlib.crc32(payload) % 1_000_000),
+        ],
+        dtype=np.float32,
     )
-    return feats
-
-
-def frame_sample(sf_dir: str, frame_bytes: int = 16, every_k: int = 4):
-    """Frame-sampling plumbing for video-ish payloads: treat the
-    binary payload as fixed-size frames, keep every k-th frame, emit
-    one row per sampled frame with a per-frame feature (mean byte).
-    The decode itself is the deterministic stub; the flat_map-style
-    row expansion, frame indexing and output layout are the real
-    contract a video pipeline needs."""
-    ds = synthesize_media(sf_dir)
-
-    def sample(batch: pa.Table) -> pa.Table:
-        doc_ids, frame_idx, means = [], [], []
-        for did, payload in zip(
-            batch.column("doc_id").to_pylist(), batch.column("payload").to_pylist()
-        ):
-            n_frames = len(payload) // frame_bytes
-            for fi in range(0, n_frames, every_k):
-                frame = payload[fi * frame_bytes : (fi + 1) * frame_bytes]
-                doc_ids.append(did)
-                frame_idx.append(fi)
-                means.append(float(np.frombuffer(frame, dtype=np.uint8).mean()))
-        return pa.table(
-            {
-                "doc_id": pa.array(doc_ids, type=pa.int64()),
-                "frame_idx": pa.array(frame_idx, type=pa.int32()),
-                "frame_mean": pa.array(np.round(means, 3), type=pa.float64()),
-            }
-        )
-
-    # UNORDERED output (README ordering contract): the trailing
-    # (doc_id, frame_idx) sort was a presentation all-to-all — the
-    # driver compare is order-insensitive and consumers key by doc_id.
-    return ds.map_batches(sample, batch_format="pyarrow", batch_size=64)
-
-
-def resize_media(sf_dir: str, out_w: int = 4, out_h: int = 4):
-    """Resize plumbing: nearest-neighbor downsample of the fake w×h
-    payload to out_w×out_h (a real deployment swaps the numpy kernel
-    for a codec-backed resize; batch sizing and schema are the
-    contract). Emits the resized payload + a checksum."""
-    ds = synthesize_media(sf_dir)
-
-    def resize(batch: pa.Table) -> pa.Table:
-        payloads, sums = [], []
-        for p, m, w, h in zip(
-            batch.column("payload").to_pylist(),
-            batch.column("media_type").to_pylist(),
-            batch.column("width").to_pylist(),
-            batch.column("height").to_pylist(),
-        ):
-            img = decode_image(p, m, w, h)
-            yi = (np.arange(out_h) * h) // out_h
-            xi = (np.arange(out_w) * w) // out_w
-            small = img[np.ix_(yi, xi)]
-            payloads.append(small.tobytes())
-            sums.append(int(small.sum()))
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "resized": pa.array(payloads, type=pa.binary()),
-                "checksum": pa.array(sums, type=pa.int64()),
-            }
-        )
-
-    return ds.map_batches(resize, batch_format="pyarrow", batch_size=64)
 
 
 def media_pipeline(sf_dir: str, frame_bytes: int = 16, every_k: int = 4,
                    out_w: int = 4, out_h: int = 4):
-    """Fused decode → feature-extract → frame-sample → resize in ONE
-    scan, one row per document — the single driver-recorded entry for
-    the multimodal family (:func:`media_features`, :func:`frame_sample`
-    and :func:`resize_media` remain first-class ops with their own
-    tests; the driver's 50-entry window forces merged RECORDING, not
-    merged code). Emits (doc_id, n_bytes, feat_mean, n_frames_sampled,
-    resize_checksum)."""
+    """Decode → feature-extract → frame-sample → resize in ONE scan,
+    one row per document: (doc_id, n_bytes, feat_mean,
+    n_frames_sampled, resize_checksum). The payload is decoded once;
+    the features and the nearest-neighbour resize checksum both come
+    from that pixel array, and the frame count treats the payload as
+    ``frame_bytes``-sized frames of which every ``every_k``-th is
+    kept. Batches are small because the binary rows are wide."""
     ds = synthesize_media(sf_dir)
-    from .util import cached
 
     def stage(batch: pa.Table) -> pa.Table:
-        dec = cached("stub-decoder", StubDecoder)
         n_bytes, feat_mean, n_frames, checks = [], [], [], []
         for p, m, w, h in zip(
             batch.column("payload").to_pylist(),
@@ -429,21 +291,8 @@ def media_pipeline(sf_dir: str, frame_bytes: int = 16, every_k: int = 4,
         ):
             n_bytes.append(len(p))
             n_frames.append(len(range(0, len(p) // frame_bytes, every_k)))
-            # decode ONCE; features and the resize checksum both come
-            # from the same pixel array (this stage's whole point is
-            # one fused scan — r5 review: the fake branch re-ran the
-            # frombuffer decode it already had in hand; mean/std over
-            # the (h, w) reshape equal those over the raw bytes, and
-            # shape[0]*shape[1] == len(payload) by the generator's
-            # exact-size contract). The honest env-limited stub error
-            # for unknown media types is kept explicit.
-            if m not in StubDecoder.REAL_DECODE and m != "image/fake":
-                raise NotImplementedError(
-                    f"no codec for {m!r} in this environment"
-                )
             img = decode_image(p, m, w, h)
-            feats = dec.features_from_pixels(img, p)
-            feat_mean.append(float(np.round(feats[0], 3)))
+            feat_mean.append(float(np.round(features_from_pixels(img, p)[0], 3)))
             yi = (np.arange(out_h) * h) // out_h
             xi = (np.arange(out_w) * w) // out_w
             checks.append(int(img[np.ix_(yi, xi)].sum()))
@@ -457,8 +306,8 @@ def media_pipeline(sf_dir: str, frame_bytes: int = 16, every_k: int = 4,
             }
         )
 
-    # UNORDERED output (README ordering contract; same presentation-
-    # sort removal as token_counts/pii_scrub in r3/r4).
+    # UNORDERED output (README ordering contract): consumers key by
+    # doc_id, so no presentation sort follows the scan.
     return ds.map_batches(stage, batch_format="pyarrow", batch_size=64)
 
 
@@ -481,7 +330,7 @@ def media_golden_path(
     pattern, r4 verdict item 5): every invariant — n_bytes, feat_mean,
     n_frames_sampled, resize_checksum — is derived from the PRE-ENCODE
     pixels / raw bytes of :func:`_media_row`, never through
-    decode_bmp/decode_png/StubDecoder, so oracle equality genuinely
+    decode_image/features_from_pixels, so oracle equality genuinely
     gates the decode path (decode∘encode == id for the real codecs).
     Returns the cached parquet path (under /tmp/lexor_ray_data,
     versioned by ``MEDIA_GOLDEN_VERSION``); composition is locked for
@@ -518,10 +367,11 @@ def media_golden_path(
             payload, mtype, w, h, pixels = _media_row(int(i))
             n_bytes.append(len(payload))
             n_frames.append(len(range(0, len(payload) // frame_bytes, every_k)))
-            # identical float path to StubDecoder: float32 mean of the
-            # (pre-encode == decoded, lossless codecs) pixel array for
-            # real media, of the raw bytes for fake — then round(.., 3)
-            src = pixels if mtype in StubDecoder.REAL_DECODE else np.frombuffer(
+            # identical float path to features_from_pixels: float32
+            # mean of the (pre-encode == decoded, lossless codecs) pixel
+            # array for real media, of the raw bytes for fake — then
+            # round(.., 3)
+            src = pixels if mtype != "image/fake" else np.frombuffer(
                 payload, dtype=np.uint8
             )
             feat_mean.append(float(np.round(np.float32(src.mean()), 3)))

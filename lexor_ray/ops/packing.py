@@ -71,7 +71,9 @@ def _pack_shard(tok: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
 def pack_sequences(sf_dir: str, budget: int = 512, n_shards: int = 64):
     """Deterministic greedy packing plan over the documents table:
     ``(doc_id, n_tokens, shard, bin_idx, pos_in_bin, oversize)``.
-    Tokens are whitespace tokens (consistent with ``token_counts``)."""
+    Tokens are runs of non-whitespace in Python's rule, which also
+    splits on a vertical tab or a non-ASCII space, unlike the RE2 rule
+    of ``text_quality_stats`` (see the note on ``n_tokens`` below)."""
     ds = tbl(sf_dir, "documents", columns=["doc_id", "text"])
 
     def shard_tokens(batch: pd.DataFrame) -> pd.DataFrame:

@@ -1,9 +1,15 @@
-"""Text-analysis operators over the ``documents`` table: token
-counting, quality counts/scores, language ID, document fingerprinting.
+"""Text-analysis operators over the ``documents`` table: quality
+signals and scores, language ID with repetition signals, document
+fingerprints, BPE-ish token counts, tf-idf terms and the Gopher
+quality filter.
 
-All per-row computations are vectorized where a kernel exists
-(pyarrow.compute string kernels / pandas str); state (compiled
-regexes, marker tables) lives in the per-worker cache
+Each per-document family has one operator, the one the driver
+records: :func:`text_quality_stats`, :func:`doc_signals` and
+:func:`gopher_quality`. The quality character classes are counted in
+one kernel, :func:`_quality_signals`, with the regex engine of the
+DuckDB oracles (RE2). All per-row computations are vectorized where a
+kernel exists (pyarrow.compute string kernels / pandas str); state
+(compiled regexes, marker tables) lives in the per-worker cache
 (``ops/util.cached``) — the §2.7 pattern.
 """
 
@@ -20,104 +26,43 @@ import pyarrow.compute as pc
 from .util import table_rows, tbl
 
 
-def token_counts(sf_dir: str):
-    """doc_id, n_chars, n_tokens (whitespace tokens) — fully
-    vectorized with pyarrow kernels; no Python loop."""
-    ds = tbl(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def counts(batch: pa.Table) -> pa.Table:
-        # null text counts as empty, like every pandas path's fillna
-        # (r5 review: the arrow kernels propagate null → NaN rows)
-        text = pc.fill_null(batch["text"], "")
-        n_chars = pc.utf8_length(text)
-        toks = pc.count_substring_regex(text, r"\S+")
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "n_chars": pc.cast(n_chars, pa.int64()),
-                "n_tokens": pc.cast(toks, pa.int64()),
-            }
-        )
-
-    return ds.map_batches(counts, batch_format="pyarrow")
-
-
-# Char classes shared by the arrow kernels (_quality_signals), the
-# pandas fused scans (_pd_quality_signals, QualityScorer) and —
-# textually — the DuckDB oracles. Single source of truth: every
-# Python-side count of these classes must reference these names
-# (r4 review: inline copies had already crept into two fused ops).
+# Char classes of the quality signals. Counts of them come from
+# _quality_signals only (pinned by test_one_quality_kernel_in_package);
+# the NB/LM tokenizers split on RE_WORD with findall.
 RE_WORD = r"\S+"
 RE_PUNCT = r"[!-/:-@\[-`{-~]"
 RE_DIGIT = r"[0-9]"
 RE_UPPER = r"[A-Z]"
 
 
-def _quality_signals(text: "pa.ChunkedArray") -> dict:
-    """Shared integer quality kernels — single source of truth for
-    the char classes used by quality_counts AND the quality filter
-    (and mirrored in their DuckDB oracles). Null text counts as
-    empty (r5 review), matching the pandas mirrors' fillna."""
+def _quality_signals(text: "pa.Array | pa.ChunkedArray") -> dict:
+    """The quality counts of each text as int64 numpy arrays: n_chars
+    (codepoints), n_words, n_punct, n_digits, n_upper. Counted with
+    RE2 like the DuckDB oracles: only tab, newline, form feed,
+    carriage return and space split words, not a no-break space or a
+    vertical tab. Null text counts as empty."""
     text = pc.fill_null(text, "")
+
+    def i64(counts) -> np.ndarray:
+        return counts.to_numpy().astype(np.int64)
+
     return {
-        "n_chars": pc.cast(pc.utf8_length(text), pa.int64()),
-        "n_words": pc.cast(pc.count_substring_regex(text, RE_WORD), pa.int64()),
-        "n_punct": pc.cast(
-            pc.count_substring_regex(text, RE_PUNCT), pa.int64()
-        ),
-        "n_digits": pc.cast(pc.count_substring_regex(text, RE_DIGIT), pa.int64()),
-        "n_upper": pc.cast(pc.count_substring_regex(text, RE_UPPER), pa.int64()),
+        "n_chars": i64(pc.utf8_length(text)),
+        "n_words": i64(pc.count_substring_regex(text, RE_WORD)),
+        "n_punct": i64(pc.count_substring_regex(text, RE_PUNCT)),
+        "n_digits": i64(pc.count_substring_regex(text, RE_DIGIT)),
+        "n_upper": i64(pc.count_substring_regex(text, RE_UPPER)),
     }
 
 
-def _pd_quality_signals(texts: "pd.Series") -> dict:
-    """pandas mirror of :func:`_quality_signals` for the fused scans
-    that already work in pandas (same char classes by construction;
-    ``texts`` must be pre-``fillna("")``)."""
-    return {
-        "n_chars": texts.str.len().astype("int64"),
-        "n_words": texts.str.count(RE_WORD).astype("int64"),
-        "n_punct": texts.str.count(RE_PUNCT).astype("int64"),
-        "n_digits": texts.str.count(RE_DIGIT).astype("int64"),
-        "n_upper": texts.str.count(RE_UPPER).astype("int64"),
-    }
-
-
-def quality_counts(sf_dir: str):
-    """Integer quality signals (SQL-checkable, no float hashing):
-    n_chars, n_words, n_punct, n_digits, n_upper."""
-    ds = tbl(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def counts(batch: pa.Table) -> pa.Table:
-        sig = _quality_signals(batch["text"])
-        return pa.table({"doc_id": batch["doc_id"], **sig})
-
-    return ds.map_batches(counts, batch_format="pyarrow")
-
-
-def token_quality_counts(sf_dir: str):
-    """Token + quality integer signals fused into ONE scan (the
-    driver-recorded entry covering both :func:`token_counts` and
-    :func:`quality_counts`, which remain first-class library ops —
-    the 50-entry driver window forces merged recording, not merged
-    code): doc_id, n_chars, n_tokens (whitespace tokens == n_words),
-    n_punct, n_digits, n_upper. Fully SQL-checkable."""
-    ds = tbl(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def counts(batch: pa.Table) -> pa.Table:
-        sig = _quality_signals(batch["text"])
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "n_chars": sig["n_chars"],
-                "n_tokens": sig["n_words"],
-                "n_punct": sig["n_punct"],
-                "n_digits": sig["n_digits"],
-                "n_upper": sig["n_upper"],
-            }
-        )
-
-    return ds.map_batches(counts, batch_format="pyarrow")
+def passes_quality_filter(sig: dict, min_words: int, max_punct_pct: int) -> np.ndarray:
+    """The rule-based quality filter's verdict over
+    :func:`_quality_signals` columns, in integer arithmetic so the
+    oracle replays it exactly: at least ``min_words`` words and at
+    most ``max_punct_pct`` percent punctuation characters."""
+    return (sig["n_words"] >= min_words) & (
+        sig["n_punct"] * 100 <= sig["n_chars"] * max_punct_pct
+    )
 
 
 def _floor4(s: "pd.Series") -> "pd.Series":
@@ -142,7 +87,10 @@ class QualityScorer:
     def __init__(self) -> None:
         self.word_re = re.compile(r"[A-Za-z']+")
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
+    def __call__(self, batch: pd.DataFrame, sig: dict) -> pd.DataFrame:
+        """Scores of ``batch`` (doc_id, text); ``sig`` is
+        :func:`_quality_signals` of its text, whose n_chars and n_punct
+        give the punctuation ratio and the length term."""
         texts = batch["text"].fillna("")
         n = len(texts)
         words = texts.str.lower().str.findall(self.word_re)
@@ -164,8 +112,8 @@ class QualityScorer:
         )
         stop_ratio = pd.Series(stop_hits, index=batch.index) / n_words
         mean_wlen = pd.Series(wlen_sum, index=batch.index) / n_words
-        n_chars = texts.str.len().clip(lower=1)
-        punct_ratio = texts.str.count(RE_PUNCT) / n_chars
+        n_chars = pd.Series(sig["n_chars"], index=batch.index).clip(lower=1)
+        punct_ratio = pd.Series(sig["n_punct"], index=batch.index) / n_chars
         score = (
             0.35 * stop_ratio.clip(0, 0.6) / 0.6
             + 0.25 * (1 - (mean_wlen - 5).abs().clip(0, 5) / 5)
@@ -183,14 +131,28 @@ class QualityScorer:
         )
 
 
-def quality_scores(sf_dir: str):
+def text_quality_stats(sf_dir: str, min_words: int = 20, max_punct_pct: int = 5):
+    """Per-document quality row in one scan: the :class:`QualityScorer`
+    floats, the :func:`_quality_signals` counts (``n_tokens`` and
+    ``n_words`` are the same count) and the filter verdict ``passes``
+    (:func:`passes_quality_filter`). Columns in the order of the
+    oracle's SELECT."""
     ds = tbl(sf_dir, "documents", columns=["doc_id", "text"])
     from .util import cached
 
-    return ds.map_batches(
-        lambda b: cached("quality-scorer", QualityScorer)(b),
-        batch_format="pandas",
-    )
+    def stats(batch: pa.Table) -> pd.DataFrame:
+        sig = _quality_signals(batch["text"])
+        out = cached("quality-scorer", QualityScorer)(batch.to_pandas(), sig)
+        out["n_chars"] = sig["n_chars"]
+        out["n_tokens"] = sig["n_words"]
+        out["n_digits"] = sig["n_digits"]
+        out["n_upper"] = sig["n_upper"]
+        out["n_words"] = sig["n_words"]
+        out["n_punct"] = sig["n_punct"]
+        out["passes"] = passes_quality_filter(sig, min_words, max_punct_pct)
+        return out
+
+    return ds.map_batches(stats, batch_format="pyarrow")
 
 
 class LangId:
@@ -251,24 +213,6 @@ class LangId:
         pred[is_zh] = "zh"
         return pred
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"],
-                "pred_lang": self.predict_batch(batch["text"]),
-                "lang": batch["lang"],
-            }
-        )
-
-
-def lang_id(sf_dir: str):
-    ds = tbl(sf_dir, "documents", columns=["doc_id", "text", "lang"])
-    from .util import cached
-
-    return ds.map_batches(
-        lambda b: cached("lang-id", LangId)(b), batch_format="pandas"
-    )
-
 
 class Fingerprinter:
     """Winnowing document fingerprint: rolling hash over character
@@ -323,55 +267,6 @@ def fingerprints(sf_dir: str):
         lambda b: cached("fingerprinter", Fingerprinter)(b),
         batch_format="pyarrow",
     )
-
-
-def filter_quality_documents(sf_dir: str, min_words: int = 20, max_punct_pct: int = 5):
-    """Quality FILTER pipeline (compose signals → keep passing docs):
-    integer-arithmetic thresholds so the whole filter is SQL-checkable
-    (n_words ≥ min_words and punct ratio ≤ max_punct_pct%)."""
-    ds = tbl(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def keep(batch: pa.Table) -> pa.Table:
-        sig = _quality_signals(batch["text"])
-        n_chars, n_words, n_punct = sig["n_chars"], sig["n_words"], sig["n_punct"]
-        mask = pc.and_(
-            pc.greater_equal(n_words, min_words),
-            # n_punct * 100 <= n_chars * max_punct_pct  (integer math)
-            pc.less_equal(
-                pc.multiply(n_punct, 100), pc.multiply(n_chars, max_punct_pct)
-            ),
-        )
-        out = pa.table(
-            {"doc_id": batch["doc_id"], "n_words": n_words, "n_punct": n_punct}
-        )
-        return out.filter(mask)
-
-    return ds.map_batches(keep, batch_format="pyarrow")
-
-
-def quality_filter_scores(
-    sf_dir: str, min_words: int = 20, max_punct_pct: int = 5
-):
-    """Recording fusion of :func:`quality_scores` and
-    :func:`filter_quality_documents` (both stay first-class ops — the
-    driver's 50-entry window forces merged RECORDING, not merged
-    code): one scan emitting every float score column, the integer
-    filter signals, and the ``passes`` verdict, so a single oracle row
-    set checks both operators' semantics for every document."""
-    ds = tbl(sf_dir, "documents", columns=["doc_id", "text"])
-    from .util import cached
-
-    def both(batch: pd.DataFrame) -> pd.DataFrame:
-        out = cached("quality-scorer", QualityScorer)(batch)
-        sig = _pd_quality_signals(batch["text"].fillna(""))
-        out["n_words"] = sig["n_words"]
-        out["n_punct"] = sig["n_punct"]
-        out["passes"] = (sig["n_words"] >= min_words) & (
-            sig["n_punct"] * 100 <= sig["n_chars"] * max_punct_pct
-        )
-        return out
-
-    return ds.map_batches(both, batch_format="pandas")
 
 
 class BpeishTokenizer:
@@ -718,59 +613,33 @@ def _nunique_per_row(split: pd.Series) -> np.ndarray:
     )
 
 
-def _repetition_columns(batch: pd.DataFrame) -> dict:
-    """Shared word/line count + distinct-count columns for
-    :func:`repetition_signals` and the fused :func:`doc_signals`."""
-    texts = batch["text"].fillna("")
-    words = texts.str.strip().str.split()
-    lines = texts.str.split("\n")
-    return {
-        "n_words": words.str.len().to_numpy().astype(np.int64),
-        "n_distinct_words": _nunique_per_row(words),
-        "n_lines": lines.str.len().to_numpy().astype(np.int64),
-        "n_distinct_lines": _nunique_per_row(lines),
-    }
-
-
-def repetition_signals(sf_dir: str):
-    """Gopher-style repetition quality signals (Rae et al. 2021,
-    public filtering rules): per document the word count, DISTINCT
-    word count, line count and DISTINCT line count — the inputs to
-    duplicate-line / duplicate-word-fraction filters. Integer outputs,
-    fully SQL-checkable."""
-    ds = tbl(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def signals(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"doc_id": batch["doc_id"], **_repetition_columns(batch)}
-        )
-
-    return ds.map_batches(signals, batch_format="pandas")
-
-
 def doc_signals(sf_dir: str):
-    """Fused per-document signal scan: ``lang_id`` + Gopher-style
-    ``repetition_signals`` in ONE pass over the documents table
-    (``doc_id, pred_lang, lang, n_words, n_distinct_words, n_lines,
-    n_distinct_lines``). Column-identical to running the two standalone
-    ops (asserted in tests/test_ops.py); exists so both
-    stay oracle-recorded within the driver's 50-entry window while
-    paying one read instead of two."""
+    """Per-document language ID and Gopher-style repetition inputs
+    (Rae et al. 2021, public filtering rules) in one pass over the
+    documents table: ``doc_id, pred_lang, lang, n_words,
+    n_distinct_words, n_lines, n_distinct_lines`` — the inputs to
+    duplicate-line / duplicate-word-fraction filters. Words are
+    Python-whitespace tokens; the integer columns are SQL-checkable."""
     ds = tbl(sf_dir, "documents", columns=["doc_id", "text", "lang"])
     from .util import cached
 
-    def fused(batch: pd.DataFrame) -> pd.DataFrame:
-        lid = cached("lang-id", LangId)
+    def signals(batch: pd.DataFrame) -> pd.DataFrame:
+        texts = batch["text"].fillna("")
+        words = texts.str.strip().str.split()
+        lines = texts.str.split("\n")
         return pd.DataFrame(
             {
                 "doc_id": batch["doc_id"],
-                "pred_lang": lid.predict_batch(batch["text"]),
+                "pred_lang": cached("lang-id", LangId).predict_batch(batch["text"]),
                 "lang": batch["lang"],
-                **_repetition_columns(batch),
+                "n_words": words.str.len().to_numpy().astype(np.int64),
+                "n_distinct_words": _nunique_per_row(words),
+                "n_lines": lines.str.len().to_numpy().astype(np.int64),
+                "n_distinct_lines": _nunique_per_row(lines),
             }
         )
 
-    return ds.map_batches(fused, batch_format="pandas")
+    return ds.map_batches(signals, batch_format="pandas")
 
 
 def doc_length_quantiles(sf_dir: str, qs=(0.25, 0.5, 0.75, 0.9, 0.99)):
@@ -820,152 +689,6 @@ def doc_length_quantiles(sf_dir: str, qs=(0.25, 0.5, 0.75, 0.9, 0.99)):
     )
 
 
-def lang_distribution(sf_dir: str):
-    """Grouped count by the gold lang label (SQL-checkable)."""
-    ds = tbl(sf_dir, "documents", columns=["lang"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        return batch.group_by(["lang"]).aggregate([("lang", "count")])
-
-    from .util import fold_bounded
-
-    return fold_bounded(
-        ds.map_batches(partial, batch_format="pyarrow"), ["lang"]
-    ).map_batches(
-        lambda b: b.rename_columns(["lang", "n_docs"]), batch_format="pyarrow"
-    )
-
-
-def text_quality_stats(sf_dir: str, min_words: int = 20, max_punct_pct: int = 5):
-    """Recording fusion of :func:`token_quality_counts` and
-    :func:`quality_filter_scores` (every constituent op —
-    token_counts, quality_counts, quality_scores,
-    filter_quality_documents — stays first-class; the driver's
-    50-entry window forces merged RECORDING, not merged code): ONE
-    scan emits the integer token/char signals, every float score
-    column, the filter signals and the ``passes`` verdict, so a single
-    oracle row set checks all four operators' semantics per document."""
-    ds = tbl(sf_dir, "documents", columns=["doc_id", "text"])
-    from .util import cached
-
-    def fused(batch: pd.DataFrame) -> pd.DataFrame:
-        out = cached("quality-scorer", QualityScorer)(batch)
-        sig = _pd_quality_signals(batch["text"].fillna(""))
-        out["n_chars"] = sig["n_chars"]
-        out["n_tokens"] = sig["n_words"]
-        out["n_digits"] = sig["n_digits"]
-        out["n_upper"] = sig["n_upper"]
-        out["n_words"] = sig["n_words"]
-        out["n_punct"] = sig["n_punct"]
-        out["passes"] = (sig["n_words"] >= min_words) & (
-            sig["n_punct"] * 100 <= sig["n_chars"] * max_punct_pct
-        )
-        return out
-
-    return ds.map_batches(fused, batch_format="pandas")
-
-
-class GopherNgrams:
-    """Gopher-style repetition quality metrics (public rules: Rae et
-    al. 2021 §A1.1, carried into Dolma/RefinedWeb): the fraction of
-    characters covered by the most frequent word n-gram (n = 2, 3;
-    zero unless it repeats) and by ALL duplicated word n-grams
-    (n = 5, 6). Character cost of a gram is the length of its
-    space-joined string; the denominator is the document's character
-    length. One vectorized pass per batch: shifted-array concat builds
-    every gram column-wise, C-level pandas groupby counts them — no
-    per-document Python loop.
-
-    Floats are computed as ``floor(chars * 10⁴ / L) / 10⁴`` in exactly
-    that operation order so the DuckDB oracle (same expression) is
-    bit-identical."""
-
-    #: (n, kind, output column)
-    SPECS = (
-        (2, "top", "top2_frac"),
-        (3, "top", "top3_frac"),
-        (5, "dup", "dup5_frac"),
-        (6, "dup", "dup6_frac"),
-    )
-
-    @staticmethod
-    def _tokenized(batch: pd.DataFrame):
-        """Shared tokenization preamble — (texts, nw, flat, row_of)
-        where ``flat`` is every whitespace token and ``row_of`` its
-        owning row index. One definition for both this class and the
-        fused :class:`GopherQuality` (r4 review: the copy-pasted
-        preamble could drift and break their asserted column
-        identity)."""
-        texts = batch["text"].fillna("")
-        words = texts.str.split()
-        nw = words.map(len).to_numpy(np.int64)
-        flat = (
-            np.concatenate([np.asarray(w, dtype=object) for w in words])
-            if len(words)
-            else np.empty(0, dtype=object)
-        )
-        row_of = np.repeat(np.arange(len(texts)), nw)
-        return texts, nw, flat, row_of
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        texts, _, flat, row_of = self._tokenized(batch)
-        out = {"doc_id": batch["doc_id"].to_numpy()}
-        out.update(self._ngram_fracs(texts, flat, row_of))
-        return pd.DataFrame(out)
-
-    def _ngram_fracs(self, texts, flat, row_of) -> dict:
-        """The four repetition fractions from a pre-tokenized batch
-        (``flat`` = all tokens, ``row_of`` = owning row index) — shared
-        with the fused :class:`GopherQuality` so the tokenization pass
-        happens once."""
-        L = np.maximum(texts.str.len().to_numpy(np.int64), 1)
-        W = len(flat)
-        out = {}
-        for n, kind, col in self.SPECS:
-            vals = np.zeros(len(texts), dtype=np.float64)
-            if W >= n:
-                valid = row_of[: W - n + 1] == row_of[n - 1 :]
-                if valid.any():
-                    g = flat[: W - n + 1][valid]
-                    for j in range(1, n):
-                        g = g + " " + flat[j : W - n + 1 + j][valid]
-                    r = row_of[: W - n + 1][valid]
-                    cnt = (
-                        pd.DataFrame({"r": r, "g": g})
-                        .groupby(["r", "g"], sort=False)
-                        .size()
-                        .reset_index(name="c")
-                    )
-                    glen = cnt["g"].str.len().to_numpy(np.int64)
-                    if kind == "top":
-                        cnt["glen"] = glen
-                        best = cnt.sort_values(
-                            ["r", "c", "g"],
-                            ascending=[True, False, True],
-                            kind="mergesort",
-                        ).drop_duplicates("r")
-                        c_arr = best["c"].to_numpy(np.int64)
-                        chars = np.where(
-                            c_arr >= 2, c_arr * best["glen"].to_numpy(np.int64), 0
-                        )
-                        ri = best["r"].to_numpy(np.int64)
-                        vals[ri] = chars * 10000.0 / L[ri]
-                    else:
-                        dup = cnt[cnt["c"] >= 2]
-                        if len(dup):
-                            s = (
-                                (dup["c"].to_numpy(np.int64) * glen[cnt["c"] >= 2])
-                                * 1.0
-                            )
-                            agg = pd.Series(s).groupby(
-                                dup["r"].to_numpy(np.int64)
-                            ).sum()
-                            ri = agg.index.to_numpy(np.int64)
-                            vals[ri] = agg.to_numpy() * 10000.0 / L[ri]
-            out[col] = np.floor(vals) / 10000
-        return out
-
-
 #: Gopher §A1.1 thresholds for the repetition fractions we compute
 #: (Rae et al. 2021 table A1: most-frequent 2-/3-gram character
 #: fraction ≤ 0.20/0.18; all-duplicated 5-/6-gram fraction ≤
@@ -983,11 +706,10 @@ _GOPHER_REP_RULES = (
 _GOPHER_STOPWORDS = ("the", "be", "to", "of", "and", "that", "have", "with")
 
 
-class GopherQuality(GopherNgrams):
-    """The FULL Gopher quality-filter rule set (Rae et al. 2021 §A1.1,
-    carried into Dolma/RefinedWeb/FineWeb): the repetition fractions of
-    :class:`GopherNgrams` plus the per-document signals and rule
-    verdicts —
+class GopherQuality:
+    """The Gopher quality-filter rule set (Rae et al. 2021 §A1.1,
+    carried into Dolma/RefinedWeb/FineWeb): per-document signals and
+    rule verdicts —
 
     - 50 ≤ word count ≤ 100 000
     - 3 ≤ mean word length ≤ 10
@@ -995,17 +717,40 @@ class GopherQuality(GopherNgrams):
     - ≤ 90% of lines start with a bullet, ≤ 30% end with an ellipsis
     - ≥ 80% of words contain an alphabetic character
     - ≥ 2 distinct stopwords present
-    - repetition fractions under the §A1.1 thresholds
+    - repetition fractions under the §A1.1 thresholds: the fraction of
+      characters covered by the most frequent word n-gram (n = 2, 3;
+      zero unless it repeats) and by ALL duplicated word n-grams
+      (n = 5, 6). Character cost of a gram is the length of its
+      space-joined string; the denominator is the document's
+      character length.
 
-    One tokenization pass per batch shared with the n-gram metrics;
-    every ratio rule is evaluated in INTEGER cross-multiplied form
+    One whitespace tokenization per batch feeds every column; grams
+    are built column-wise from shifted arrays and counted by C-level
+    pandas groupby — no per-document Python loop. Fractions are
+    ``floor(chars * 10⁴ / L) / 10⁴`` in exactly that operation order
+    and every ratio rule is evaluated in INTEGER cross-multiplied form
     (``10·n_symbols ≤ n_words`` instead of ``n_symbols/n_words ≤
-    0.1``), so the DuckDB oracle replays the verdicts exactly — no
-    float division anywhere in a rule."""
+    0.1``), so the DuckDB oracle replays the row bit for bit."""
+
+    #: (n, kind, output column)
+    SPECS = (
+        (2, "top", "top2_frac"),
+        (3, "top", "top3_frac"),
+        (5, "dup", "dup5_frac"),
+        (6, "dup", "dup6_frac"),
+    )
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        texts, nw, flat, row_of = self._tokenized(batch)
+        texts = batch["text"].fillna("")
         n = len(texts)
+        words = texts.str.split()
+        nw = words.map(len).to_numpy(np.int64)
+        flat = (
+            np.concatenate([np.asarray(w, dtype=object) for w in words])
+            if n
+            else np.empty(0, dtype=object)
+        )
+        row_of = np.repeat(np.arange(n), nw)
         out = {"doc_id": batch["doc_id"].to_numpy()}
         out.update(self._ngram_fracs(texts, flat, row_of))
 
@@ -1095,27 +840,65 @@ class GopherQuality(GopherNgrams):
         )
         return pd.DataFrame(out)
 
+    def _ngram_fracs(self, texts, flat, row_of) -> dict:
+        """The four repetition fractions from the batch's tokens
+        (``flat`` = all tokens, ``row_of`` = owning row index)."""
+        L = np.maximum(texts.str.len().to_numpy(np.int64), 1)
+        W = len(flat)
+        out = {}
+        for n, kind, col in self.SPECS:
+            vals = np.zeros(len(texts), dtype=np.float64)
+            if W >= n:
+                valid = row_of[: W - n + 1] == row_of[n - 1 :]
+                if valid.any():
+                    g = flat[: W - n + 1][valid]
+                    for j in range(1, n):
+                        g = g + " " + flat[j : W - n + 1 + j][valid]
+                    r = row_of[: W - n + 1][valid]
+                    cnt = (
+                        pd.DataFrame({"r": r, "g": g})
+                        .groupby(["r", "g"], sort=False)
+                        .size()
+                        .reset_index(name="c")
+                    )
+                    glen = cnt["g"].str.len().to_numpy(np.int64)
+                    if kind == "top":
+                        cnt["glen"] = glen
+                        best = cnt.sort_values(
+                            ["r", "c", "g"],
+                            ascending=[True, False, True],
+                            kind="mergesort",
+                        ).drop_duplicates("r")
+                        c_arr = best["c"].to_numpy(np.int64)
+                        chars = np.where(
+                            c_arr >= 2, c_arr * best["glen"].to_numpy(np.int64), 0
+                        )
+                        ri = best["r"].to_numpy(np.int64)
+                        vals[ri] = chars * 10000.0 / L[ri]
+                    else:
+                        dup = cnt[cnt["c"] >= 2]
+                        if len(dup):
+                            s = (
+                                (dup["c"].to_numpy(np.int64) * glen[cnt["c"] >= 2])
+                                * 1.0
+                            )
+                            agg = pd.Series(s).groupby(
+                                dup["r"].to_numpy(np.int64)
+                            ).sum()
+                            ri = agg.index.to_numpy(np.int64)
+                            vals[ri] = agg.to_numpy() * 10000.0 / L[ri]
+            out[col] = np.floor(vals) / 10000
+        return out
+
 
 def gopher_quality(sf_dir: str):
     """Per-document FULL Gopher quality filter (:class:`GopherQuality`:
     repetition metrics + signal counts + per-rule verdicts + overall
     pass): embarrassingly parallel map_batches, no shuffle, the whole
-    row SQL-checkable. Subsumes :func:`gopher_ngram_stats` (columns
-    asserted identical in tests)."""
+    row SQL-checkable."""
     ds = tbl(sf_dir, "documents", columns=["doc_id", "text"])
     from .util import cached
 
     return ds.map_batches(
         lambda b: cached("gopher-quality", GopherQuality)(b), batch_format="pandas"
-    )
-
-
-def gopher_ngram_stats(sf_dir: str):
-    """Per-document Gopher repetition metrics (:class:`GopherNgrams`):
-    embarrassingly parallel map_batches, no shuffle, SQL-checkable."""
-    ds = tbl(sf_dir, "documents", columns=["doc_id", "text"])
-    from .util import cached
-
-    return ds.map_batches(
-        lambda b: cached("gopher-ngrams", GopherNgrams)(b), batch_format="pandas"
     )

@@ -145,10 +145,13 @@ def test_bpe_tokenizer_counts(ray_session):
 
 
 def test_quality_filter_thresholds(ray_session):
-    from lexor_ray.ops.textstats import filter_quality_documents
+    """Rows that pass the quality filter meet both of its thresholds."""
+    from lexor_ray.ops.textstats import text_quality_stats
 
-    got = df(filter_quality_documents(SF))
-    assert (got["n_words"] >= 20).all()
+    got = df(text_quality_stats(SF))
+    kept = got[got["passes"]]
+    assert (kept["n_words"] >= 20).all()
+    assert (kept["n_punct"] * 100 <= kept["n_chars"] * 5).all()
 
 
 def test_streaming_state_matches_batch_oracle(ray_session):
@@ -194,32 +197,23 @@ def test_ivf_ann_recall(ray_session):
     assert len(e & a) / len(e) >= 0.6
 
 
-def test_resize_media_shape(ray_session):
-    from lexor_ray.ops.multimodal import resize_media
-
-    got = df(resize_media(SF))
-    # fake payloads downsample to 4x4 single-channel (16 bytes);
-    # real BMP (doc_id % 5 == 0) and PNG (doc_id % 5 == 3) docs to
-    # 4x4 RGB (48 bytes)
-    sizes = got["resized"].map(len)
-    is_rgb = (got["doc_id"] % 5 == 0) | (got["doc_id"] % 5 == 3)
-    assert (sizes[is_rgb] == 48).all()
-    assert (sizes[~is_rgb] == 16).all()
-    assert (got["checksum"] >= 0).all()
-
-
 def test_bmp_roundtrip_and_real_decode(ray_session):
     """encode_bmp → decode_bmp is the identity, and the decoder stage
     REALLY decodes BMP payloads (features computed from pixels, not
     raw container bytes)."""
-    from lexor_ray.ops.multimodal import StubDecoder, decode_bmp, encode_bmp
+    from lexor_ray.ops.multimodal import (
+        decode_bmp,
+        decode_image,
+        encode_bmp,
+        features_from_pixels,
+    )
 
     rng = np.random.default_rng(7)
     pix = rng.integers(0, 256, (9, 13, 3), dtype=np.uint8)  # odd width → padding
     data = encode_bmp(pix)
     back = decode_bmp(data)
     assert (back == pix).all()
-    feats = StubDecoder().decode_features(data, "image/bmp")
+    feats = features_from_pixels(decode_image(data, "image/bmp", 13, 9), data)
     assert abs(feats[0] - pix.mean()) < 1e-3
     assert feats[2] == 9 * 13
 
@@ -291,36 +285,6 @@ def test_ann_recall_gate(ray_session):
     assert got["recall_ok"].all()
 
 
-def test_media_pipeline_consistent_with_components(ray_session):
-    """The fused media_pipeline row equals the three component ops it
-    records for (features' n_bytes, frame_sample counts, resize
-    checksums)."""
-    from lexor_ray.ops.multimodal import (
-        frame_sample,
-        media_features,
-        media_pipeline,
-        resize_media,
-    )
-
-    # per-doc ops return UNORDERED datasets (README ordering
-    # contract) — align by doc_id before any positional compare
-    fused = df(media_pipeline(SF)).set_index("doc_id").sort_index()
-    feats = df(media_features(SF)).set_index("doc_id").sort_index()
-    frames = df(frame_sample(SF)).groupby("doc_id").size()
-    resized = df(resize_media(SF)).set_index("doc_id").sort_index()
-    assert (fused["n_bytes"] == feats["n_bytes"]).all()
-    assert (
-        fused["n_frames_sampled"]
-        == frames.reindex(fused.index).fillna(0).astype("int64")
-    ).all()
-    assert (fused["resize_checksum"] == resized["checksum"]).all()
-    # feat_mean mirrors the decoder's first feature (rounded)
-    import numpy as np
-
-    f0 = feats["features"].map(lambda v: float(np.round(v[0], 3)))
-    assert np.allclose(fused["feat_mean"], f0, atol=1e-6)
-
-
 def test_png_roundtrip_and_all_filters(ray_session):
     """encode_png → decode_png is the identity, and the decoder's
     unfilter handles all five PNG filter types (a hand-built IDAT
@@ -330,17 +294,19 @@ def test_png_roundtrip_and_all_filters(ray_session):
     import zlib
 
     from lexor_ray.ops.multimodal import (
-        StubDecoder,
         _png_chunk,
         _PNG_SIG,
+        decode_image,
         decode_png,
         encode_png,
+        features_from_pixels,
     )
 
     rng = np.random.default_rng(11)
     pix = rng.integers(0, 256, (7, 11, 3), dtype=np.uint8)
-    assert (decode_png(encode_png(pix)) == pix).all()
-    feats = StubDecoder().decode_features(encode_png(pix), "image/png")
+    data = encode_png(pix)
+    assert (decode_png(data) == pix).all()
+    feats = features_from_pixels(decode_image(data, "image/png", 11, 7), data)
     assert abs(feats[0] - pix.mean()) < 1e-3
     assert feats[2] == 7 * 11
 
@@ -396,10 +362,10 @@ def test_lsh_ann_recall(ray_session):
 
 def test_lang_id_accuracy(ray_session):
     """Documents carry gold labels; the corpus is synthetic English-ish
-    word soup so just assert the op runs and emits valid labels."""
-    from lexor_ray.ops.textstats import LangId, lang_id
+    word soup so just assert doc_signals runs and emits valid labels."""
+    from lexor_ray.ops.textstats import LangId, doc_signals
 
-    got = df(lang_id(SF))
+    got = df(doc_signals(SF))
     assert set(got["pred_lang"]).issubset(set(LangId.MARKERS))
     assert len(got) == 500
 
@@ -436,14 +402,26 @@ def test_lang_id_batch_matches_per_row(ray_session):
 def test_quality_scorer_vectorized_matches_per_row(ray_session):
     """The explode/bincount QualityScorer must be bit-identical to the
     per-row map kernel (the oracle mirrors the floor4 floats)."""
+    import re
+
     import pandas as pd
-    from lexor_ray.ops.textstats import QualityScorer, _floor4
+    import pyarrow as pa
+    from lexor_ray.ops.textstats import (
+        RE_PUNCT,
+        QualityScorer,
+        _floor4,
+        _quality_signals,
+    )
 
     docs = pd.read_parquet(
         f"{SF}/documents.parquet", columns=["doc_id", "text"]
     )
     qs = QualityScorer()
-    got = qs(docs)
+
+    def score(frame):
+        return qs(frame, _quality_signals(pa.array(frame["text"], pa.string())))
+
+    got = score(docs)
     texts = docs["text"].fillna("")
     words = texts.str.lower().str.findall(qs.word_re)
     n_words = words.map(len).clip(lower=1)
@@ -459,14 +437,22 @@ def test_quality_scorer_vectorized_matches_per_row(ray_session):
     assert (
         got["mean_word_len"].to_numpy() == _floor4(mean_wlen).to_numpy()
     ).all()
-    assert len(qs(docs[:0])) == 0
+    punct_ratio = texts.map(lambda t: len(re.findall(RE_PUNCT, t))) / (
+        texts.str.len().clip(lower=1)
+    )
+    assert (
+        got["punct_ratio"].to_numpy() == _floor4(punct_ratio).to_numpy()
+    ).all()
+    assert len(score(docs[:0])) == 0
 
 
 def test_token_counts_vectorized_matches_python(ray_session):
-    from lexor_ray.ops.textstats import token_counts
+    """text_quality_stats' token and char counts equal Python's split
+    and len on the shared test data."""
+    from lexor_ray.ops.textstats import text_quality_stats
     import pyarrow.parquet as pq
 
-    got = df(token_counts(SF)).set_index("doc_id")
+    got = df(text_quality_stats(SF)).set_index("doc_id")
     t = pq.read_table(f"{SF}/documents.parquet").to_pandas()
     for _, row in t.head(50).iterrows():
         assert got.loc[row["doc_id"], "n_tokens"] == len(row["text"].split())
@@ -474,14 +460,14 @@ def test_token_counts_vectorized_matches_python(ray_session):
 
 
 def test_media_features_stub_contract(ray_session):
-    from lexor_ray.ops.multimodal import StubDecoder, media_features
+    """media_pipeline emits one row per document, and the one decode
+    dispatch refuses a media type it has no codec for."""
+    from lexor_ray.ops.multimodal import decode_image, media_pipeline
 
-    got = df(media_features(SF))
+    got = df(media_pipeline(SF))
     assert len(got) == 500
-    assert all(len(f) == 4 for f in got["features"])
-    dec = StubDecoder()
-    with pytest.raises(NotImplementedError):
-        dec.decode_features(b"xx", "image/jpeg")
+    with pytest.raises(NotImplementedError, match="image/jpeg"):
+        decode_image(b"xx", "image/jpeg", 2, 1)
 
 
 def test_sessionize_gap_semantics(ray_session):
@@ -832,36 +818,42 @@ def test_simhash_pipeline_equals_bruteforce(ray_session):
 
 
 def test_repetition_signals_semantics(ray_session):
-    from lexor_ray.ops.textstats import repetition_signals
+    from lexor_ray.ops.textstats import doc_signals
 
-    got = df(repetition_signals(SF))
+    got = df(doc_signals(SF))
     assert (got["n_distinct_words"] <= got["n_words"]).all()
     assert (got["n_distinct_lines"] <= got["n_lines"]).all()
     assert (got["n_lines"] >= 1).all()
 
 
 def test_doc_signals_equals_standalone_ops(ray_session):
-    """The fused per-doc scan (the recorded entry) is column-identical
-    to running lang_id and repetition_signals separately — the merge
-    that keeps both inside the driver's 50-entry window loses
-    nothing."""
-    from lexor_ray.ops.textstats import doc_signals, lang_id, repetition_signals
+    """doc_signals equals the per-row reference computations that it
+    vectorizes: ``LangId.predict`` for pred_lang, and Python's split
+    and set per document for the word and line counts."""
+    from lexor_ray.ops.textstats import LangId, doc_signals
 
     # per-doc ops return UNORDERED datasets (README contract) — sort
-    # before positional compare (r5 review; the CLAUDE.md rule)
-    fused = df(doc_signals(SF)).sort_values("doc_id").reset_index(drop=True)
-    lid = df(lang_id(SF)).sort_values("doc_id").reset_index(drop=True)
-    rep = (
-        df(repetition_signals(SF)).sort_values("doc_id").reset_index(drop=True)
+    # before positional compare (the CLAUDE.md rule)
+    got = df(doc_signals(SF)).sort_values("doc_id").reset_index(drop=True)
+    docs = (
+        pd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text", "lang"])
+        .sort_values("doc_id")
+        .reset_index(drop=True)
     )
-    pd.testing.assert_frame_equal(
-        fused[["doc_id", "pred_lang", "lang"]], lid
+    texts = docs["text"].fillna("")
+    lid = LangId()
+    want = pd.DataFrame(
+        {
+            "doc_id": docs["doc_id"],
+            "pred_lang": [lid.predict(t) for t in texts],
+            "lang": docs["lang"],
+            "n_words": [len(t.split()) for t in texts],
+            "n_distinct_words": [len(set(t.split())) for t in texts],
+            "n_lines": [len(t.split("\n")) for t in texts],
+            "n_distinct_lines": [len(set(t.split("\n"))) for t in texts],
+        }
     )
-    pd.testing.assert_frame_equal(
-        fused[["doc_id", "n_words", "n_distinct_words", "n_lines",
-               "n_distinct_lines"]],
-        rep,
-    )
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
 def test_doc_length_quantiles_monotone(ray_session):
@@ -929,27 +921,6 @@ def test_decontaminate_flags_donors_and_duplicates(ray_session):
     assert len(donors) == len(long_donors) and donors["contaminated"].all()
     # the corpus's exact duplicates give at least one non-donor hit
     assert (got["contaminated"] & (got["doc_id"] % BENCH_MOD != 0)).any()
-
-
-def test_quality_filter_scores_merges_components(ray_session):
-    """The fused recording op == quality_scores columns + the
-    filter_quality_documents verdict, row for row."""
-    from lexor_ray.ops.textstats import (
-        filter_quality_documents,
-        quality_filter_scores,
-        quality_scores,
-    )
-
-    # sort_index: the two datasets are independently unordered and
-    # assert_frame_equal compares row-positionally (r5 review)
-    fused = df(quality_filter_scores(SF)).set_index("doc_id").sort_index()
-    scores = df(quality_scores(SF)).set_index("doc_id").sort_index()
-    pd.testing.assert_frame_equal(
-        fused[["stop_ratio", "mean_word_len", "punct_ratio", "quality_score"]],
-        scores[["stop_ratio", "mean_word_len", "punct_ratio", "quality_score"]],
-    )
-    kept = df(filter_quality_documents(SF))
-    assert set(kept["doc_id"]) == set(fused.index[fused["passes"]])
 
 
 def test_sq8_quantize_roundtrip_and_bounds(ray_session):
@@ -1813,6 +1784,49 @@ def test_one_keyed_shuffle_in_package():
         },
     }
     assert bypass == []
+
+
+def test_one_quality_kernel_in_package():
+    """The quality character classes are counted in one kernel,
+    ``ops/textstats._quality_signals``: nothing else in the package
+    passes ``RE_WORD``, ``RE_PUNCT``, ``RE_DIGIT`` or ``RE_UPPER`` to a
+    counting call (``count_substring_regex`` or ``.str.count``).
+    Tokenizing with ``findall`` is allowed. Checked on the syntax
+    tree, so a call split over lines counts too."""
+    import ast
+    import pathlib
+
+    classes = {"RE_WORD", "RE_PUNCT", "RE_DIGIT", "RE_UPPER"}
+
+    def counts_a_class(node) -> bool:
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            return False
+        f = node.func
+        counting = f.attr == "count_substring_regex" or (
+            f.attr == "count"
+            and isinstance(f.value, ast.Attribute)
+            and f.value.attr == "str"
+        )
+        args = [*node.args, *(k.value for k in node.keywords)]
+        return counting and any(
+            isinstance(n, ast.Name) and n.id in classes
+            for a in args
+            for n in ast.walk(a)
+        )
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "lexor_ray"
+    hits = set()
+    for path in sorted(pkg.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", "<module>")
+            hits |= {
+                f"{path.relative_to(pkg)}:{owner}:{node.lineno}"
+                for node in ast.walk(top)
+                if counts_a_class(node)
+            }
+    assert {h.rsplit(":", 1)[0] for h in hits} == {
+        "ops/textstats.py:_quality_signals"
+    }, sorted(hits)
 
 
 def test_one_worker_cache_in_package():

@@ -1,5 +1,7 @@
 """Deterministic corpus sampling / splitting / capping operators."""
 
+import pathlib
+
 import numpy as np
 import pandas as pd
 
@@ -105,7 +107,7 @@ def test_gopher_ngrams_planted():
     """Planted repetition vs a naive Counter implementation."""
     from collections import Counter
 
-    from lexor_ray.ops.textstats import GopherNgrams
+    from lexor_ray.ops.textstats import GopherQuality
 
     texts = [
         "spam ham spam ham spam ham eggs",
@@ -115,7 +117,7 @@ def test_gopher_ngrams_planted():
         "solo",
     ]
     batch = pd.DataFrame({"doc_id": range(len(texts)), "text": texts})
-    got = GopherNgrams()(batch)
+    got = GopherQuality()(batch)
 
     def naive(text, n, kind):
         words = text.split()
@@ -142,29 +144,77 @@ def test_gopher_ngrams_planted():
     assert got.loc[0, "top2_frac"] > 0 and got.loc[2, "dup6_frac"] > 0
 
 
-def test_text_quality_stats_matches_parents(ray_session):
-    """The fused recording entry is column-for-column identical to the
-    two ops it records (both stay first-class)."""
-    from lexor_ray.ops.textstats import (
-        quality_filter_scores,
-        text_quality_stats,
-        token_quality_counts,
-    )
+def _text_quality_oracle(sf_dir: str) -> pd.DataFrame:
+    import sys
 
-    fused = text_quality_stats(SF).to_pandas().sort_values("doc_id")
-    tok = token_quality_counts(SF).to_pandas().sort_values("doc_id")
-    qual = quality_filter_scores(SF).to_pandas().sort_values("doc_id")
-    for col in ["n_chars", "n_tokens", "n_punct", "n_digits", "n_upper"]:
-        assert list(fused[col]) == list(tok[col])
-    for col in [
-        "stop_ratio",
-        "mean_word_len",
-        "punct_ratio",
-        "quality_score",
-        "n_words",
-        "passes",
-    ]:
-        assert list(fused[col]) == list(qual[col])
+    import duckdb
+
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+    import __ray_entry__
+
+    con = duckdb.connect()
+    con.execute(
+        "CREATE VIEW documents AS SELECT * FROM "
+        f"read_parquet('{sf_dir}/documents.parquet')"
+    )
+    return con.sql(__ray_entry__.oracle_sql()["text_quality_stats"]).df()
+
+
+def _assert_matches_text_quality_oracle(sf_dir: str) -> pd.DataFrame:
+    """text_quality_stats of ``sf_dir`` sorted by doc_id, after
+    checking it against the oracle on every column."""
+    from lexor_ray.ops.textstats import text_quality_stats
+
+    got = text_quality_stats(sf_dir).to_pandas()
+    want = _text_quality_oracle(sf_dir)
+    assert list(got.columns) == list(want.columns)
+    got = got.sort_values("doc_id", ignore_index=True)
+    pd.testing.assert_frame_equal(
+        got, want.sort_values("doc_id", ignore_index=True), check_dtype=False
+    )
+    return got
+
+
+def test_text_quality_stats_matches_parents(ray_session):
+    """The recorded entry equals its DuckDB oracle on the shared test
+    data, on every column and in the oracle's column order."""
+    _assert_matches_text_quality_oracle(SF)
+
+
+def test_text_quality_stats_matches_oracle_on_unicode_whitespace(
+    ray_session, tmp_path
+):
+    """Words split where the oracle's RE2 splits them: on tab,
+    newline, form feed, carriage return and space, and not on a
+    no-break space, a vertical tab, an em space or an ideographic
+    space. A text that starts with a tab or ends with a newline has
+    no extra word."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    passing = " ".join(f"word{i}" for i in range(24)) + " the end."
+    texts = [
+        "a\xa0b c",
+        "x\vy z",
+        "p\u2003q",
+        "\u3000",
+        "ideographic\u3000space here",
+        "\tTabbed start\nsecond line\r\nthird\fpage\n",
+        "",
+        passing,
+    ]
+    pq.write_table(
+        pa.table(
+            {
+                "doc_id": pa.array(range(len(texts)), pa.int64()),
+                "text": pa.array(texts, pa.string()),
+            }
+        ),
+        tmp_path / "documents.parquet",
+    )
+    got = _assert_matches_text_quality_oracle(str(tmp_path))
+    assert list(got["n_tokens"]) == [2, 2, 1, 1, 2, 6, 0, 26]
+    assert list(got["passes"]) == [False] * 7 + [True]
 
 
 def test_neardup_candidates_union(ray_session):
@@ -231,20 +281,6 @@ def test_gopher_quality_rules_crafted():
     for case, rule in expect_broken.items():
         assert not got.loc[case, rule], (case, rule)
         assert not got.loc[case, "passes_gopher"], case
-
-
-def test_gopher_quality_subsumes_ngram_stats(ray_session):
-    """The fused recording entry's repetition columns are identical to
-    the standalone gopher_ngram_stats op (which stays first-class)."""
-    from lexor_ray.ops.textstats import gopher_ngram_stats, gopher_quality
-
-    full = gopher_quality(SF).to_pandas().sort_values("doc_id")
-    frac = gopher_ngram_stats(SF).to_pandas().sort_values("doc_id")
-    cols = ["doc_id", "top2_frac", "top3_frac", "dup5_frac", "dup6_frac"]
-    pd.testing.assert_frame_equal(
-        full[cols].reset_index(drop=True),
-        frac[cols].reset_index(drop=True),
-    )
 
 
 def test_gopher_quality_vs_naive_reference():
